@@ -45,10 +45,10 @@ vulncheck:
 	fi
 
 # The parallel-pipeline determinism suite under the race detector: the
-# merge property test, the sharded-collector equivalence tests, and the
-# grid/singleflight/cancellation tests of the experiments package.
+# merge property test, and the fan-out/grid/singleflight/cancellation
+# tests of the experiments package.
 test-parallel:
-	$(GO) test -race -count=1 -run 'TestMerge|TestSharded' ./internal/interval/
+	$(GO) test -race -count=1 -run 'TestMerge' ./internal/interval/
 	$(GO) test -race -count=1 -run 'TestShardedSuite|TestGridMatches|TestAllContextCancel|TestDataSingleflight|TestWaiterCancellation' ./internal/experiments/
 
 # One iteration of every benchmark, no unit tests: a smoke test that keeps
@@ -62,15 +62,16 @@ bench:
 bench-json:
 	GO=$(GO) sh scripts/bench_snapshot.sh $(LABEL)
 
-# Run the same benchmark set and gate it against the newest committed
-# BENCH_*.json: allocs/op regressions always fail; ns/op regressions
+# Run the same benchmark set at GOMAXPROCS 1 and 2 and gate each row,
+# keyed by (name, procs), against the newest committed BENCH_*.json:
+# allocs/op regressions always fail; ns/op regressions
 # >20% fail only when the baseline came from the same CPU model (timing
 # across different machines is advisory). GATE_FLAGS=-warn-only to
 # report without failing; GATE_FLAGS+='-summary $$GITHUB_STEP_SUMMARY'
 # in CI to publish the comparison table.
 bench-gate:
-	$(GO) test -run '^$$' -bench '^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkPipelineSimulateGzipSharded|BenchmarkGridFigure8Workers1|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)$$' \
-		-benchmem -benchtime 100ms -count 3 . | $(GO) run ./cmd/benchsnap -compare . $(GATE_FLAGS)
+	$(GO) test -run '^$$' -bench '^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkGridFigure8Workers1|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)$$' \
+		-benchmem -benchtime 100ms -count 3 -cpu 1,2 . | $(GO) run ./cmd/benchsnap -compare . $(GATE_FLAGS)
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

@@ -186,20 +186,6 @@ func BenchmarkPipelineSimulateGzip(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineSimulateGzipSharded is the same end-to-end pipeline
-// with interval collection sharded over 4 workers; compare against
-// BenchmarkPipelineSimulateGzip for the intra-benchmark speedup (on a
-// multi-core host; on one core the inline path above wins).
-func BenchmarkPipelineSimulateGzipSharded(b *testing.B) {
-	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		s := experiments.MustNew(experiments.WithScale(0.05), experiments.WithWorkers(4))
-		if _, err := s.DataContext(ctx, "gzip"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // Grid benches: the Figure 8 evaluation cell set (6 benchmarks x 6
 // schemes x both caches) through EvaluateGrid at different worker counts.
 // Cells carry their own distributions, so the grid suites need no

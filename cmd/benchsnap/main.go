@@ -172,8 +172,8 @@ func snapshotFilename(s *bench.Snapshot) string {
 }
 
 // missingFromBaseline resolves the newest committed snapshot in dir and
-// returns the benchmark names it records that the new snapshot lacks,
-// sorted. No committed baseline (or an unreadable one) means nothing to
+// returns the rows it records (by Snapshot.Key: name and GOMAXPROCS) that
+// the new snapshot lacks, sorted. No committed baseline (or an unreadable one) means nothing to
 // enforce: the first snapshot of a repo must still be writable.
 func missingFromBaseline(dir string, snap *bench.Snapshot) (missing []string, basePath string) {
 	basePath, err := resolveBaseline(dir)
@@ -185,12 +185,12 @@ func missingFromBaseline(dir string, snap *bench.Snapshot) (missing []string, ba
 		return nil, ""
 	}
 	have := make(map[string]bool, len(snap.Results))
-	for _, r := range snap.Results {
-		have[r.Name] = true
+	for i := range snap.Results {
+		have[snap.Key(&snap.Results[i])] = true
 	}
-	for _, r := range base.Results {
-		if !have[r.Name] {
-			missing = append(missing, r.Name)
+	for i := range base.Results {
+		if k := base.Key(&base.Results[i]); !have[k] {
+			missing = append(missing, k)
 		}
 	}
 	sort.Strings(missing)

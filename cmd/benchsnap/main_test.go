@@ -190,3 +190,42 @@ PASS
 		t.Fatalf("superset: exit %d, stderr: %s", code, stderr)
 	}
 }
+
+// TestSnapshotRequireCoverageByProcs pins that coverage matches rows by
+// (name, GOMAXPROCS): a run at -cpu 2 alone does not cover a baseline
+// taken at GOMAXPROCS 1.
+func TestSnapshotRequireCoverageByProcs(t *testing.T) {
+	dir := t.TempDir()
+	if code, _, stderr := runCLI(t, []string{"-out", dir, "-date", "2026-08-07"}, benchOutput); code != 0 {
+		t.Fatalf("baseline: exit %d, stderr: %s", code, stderr)
+	}
+	onlyTwo := `goos: linux
+goarch: amd64
+cpu: TestCPU v1
+BenchmarkA-2	10	1000 ns/op	100 B/op	5 allocs/op
+BenchmarkB-2	20	2000 ns/op	200 B/op	10 allocs/op
+PASS
+`
+	code, _, stderr := runCLI(t, []string{"-out", dir, "-date", "2026-08-08", "-require-coverage"}, onlyTwo)
+	if code != 1 {
+		t.Fatalf("procs-2-only run: exit %d, want 1 (stderr: %s)", code, stderr)
+	}
+	if !strings.Contains(stderr, "[BenchmarkA BenchmarkB]") {
+		t.Errorf("stderr %q does not name the uncovered GOMAXPROCS-1 rows", stderr)
+	}
+	both := benchOutput + onlyTwo
+	if code, _, stderr := runCLI(t, []string{"-out", dir, "-date", "2026-08-08", "-require-coverage"}, both); code != 0 {
+		t.Fatalf("-cpu 1,2 run: exit %d, stderr: %s", code, stderr)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "BENCH_2026-08-08.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s bench.Snapshot
+	if err := json.Unmarshal(raw, &s); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Results) != 4 {
+		t.Errorf("snapshot has %d rows, want one per (name, GOMAXPROCS): %+v", len(s.Results), s.Results)
+	}
+}

@@ -37,6 +37,7 @@ import (
 
 	"leakbound/internal/sim/cache"
 	"leakbound/internal/sim/cpu"
+	"leakbound/internal/sim/stream"
 	"leakbound/internal/sim/trace"
 	"leakbound/internal/telemetry"
 	"leakbound/internal/workload"
@@ -153,7 +154,7 @@ func runGenerate(ctx context.Context, bench, specPath, side, out string, scale f
 	if err != nil {
 		return err
 	}
-	stream, res, err := cpu.RunToStreamContext(ctx, w, hier, cpu.DefaultConfig(), id)
+	s, res, err := collectCache(ctx, w, hier, id)
 	if err != nil {
 		return err
 	}
@@ -162,15 +163,50 @@ func runGenerate(ctx context.Context, bench, specPath, side, out string, scale f
 		return err
 	}
 	defer f.Close()
-	if err := trace.Write(f, stream); err != nil {
+	if err := trace.Write(f, s); err != nil {
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("%s: %d %s events over %d cycles -> %s\n",
-		name, stream.Len(), id, res.Cycles, out)
+		name, s.Len(), id, res.Cycles, out)
 	return nil
+}
+
+// collectCache simulates w and gathers one cache's events into an
+// in-memory stream: the v1 trace format records the event count up front,
+// so the stream is materialized before it is written.
+func collectCache(ctx context.Context, w workload.Workload, hier *cache.Hierarchy, id trace.CacheID) (*trace.Stream, cpu.Result, error) {
+	s := &trace.Stream{}
+	res, err := cpu.RunStreamContext(ctx, w, hier, cpu.DefaultConfig(), cacheSink(s, id))
+	if err != nil {
+		return nil, cpu.Result{}, err
+	}
+	if res.Cycles > s.TotalCycles {
+		s.TotalCycles = res.Cycles
+	}
+	if c := hier.CacheByID(id); c != nil {
+		s.NumFrames = uint32(c.Config().NumLines())
+	}
+	return s, res, nil
+}
+
+// cacheSink appends the events of cache id from each batch to s. An event
+// Stream.Append rejects (invalid, or out of cycle order) fails the sink,
+// which stops the simulation and surfaces the error to the caller.
+func cacheSink(s *trace.Stream, id trace.CacheID) stream.Sink {
+	return func(b *stream.Batch) error {
+		for i, n := 0, b.Len(); i < n; i++ {
+			if b.Caches[i] != id {
+				continue
+			}
+			if err := s.Append(b.Event(i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 // runRecord captures the workload's instruction stream as a replayable

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"leakbound/internal/sim/cache"
+	"leakbound/internal/sim/stream"
 	"leakbound/internal/sim/trace"
 	"leakbound/internal/workload"
 )
@@ -32,6 +34,50 @@ func TestGenerateAndSummarize(t *testing.T) {
 	}
 	if err := runSummarize(out); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestCollectCache(t *testing.T) {
+	hier, err := cache.NewHierarchy(cache.AlphaLike())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, res, err := collectCache(context.Background(), workload.MustNew("gzip", 0.01), hier, trace.L1D)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() == 0 {
+		t.Fatal("empty stream")
+	}
+	if s.NumFrames != 1024 {
+		t.Errorf("NumFrames = %d, want 1024", s.NumFrames)
+	}
+	if s.TotalCycles < res.Cycles {
+		t.Errorf("TotalCycles %d < run cycles %d", s.TotalCycles, res.Cycles)
+	}
+	if err := s.Validate(); err != nil {
+		t.Errorf("stream invalid: %v", err)
+	}
+	for _, e := range s.Events {
+		if e.Cache != trace.L1D {
+			t.Fatalf("foreign event: %+v", e)
+		}
+	}
+}
+
+// TestCacheSinkReturnsAppendError pins that an event the stream rejects
+// comes back as an error through the sink instead of a panic.
+func TestCacheSinkReturnsAppendError(t *testing.T) {
+	b := stream.NewBatch(4)
+	b.Append(10, 1, 0x400000, 0, trace.L1D, trace.Load, false)
+	b.Append(12, 2, 0x400004, 0, trace.L1I, trace.Fetch, false) // other cache: skipped
+	b.Append(5, 3, 0x400008, 1, trace.L1D, trace.Load, false)   // out of cycle order
+	s := &trace.Stream{}
+	if err := cacheSink(s, trace.L1D)(b); err == nil {
+		t.Fatal("out-of-order event accepted")
+	}
+	if s.Len() != 1 {
+		t.Errorf("stream holds %d events, want the 1 accepted before the error", s.Len())
 	}
 }
 

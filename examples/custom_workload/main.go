@@ -22,6 +22,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -58,11 +59,11 @@ func main() {
 		log.Fatal(err)
 	}
 	var sinkErr error
-	res, err := cpu.Run(wl, hier, cpu.DefaultConfig(), func(e trace.Event) {
+	res, err := cpu.RunStreamContext(context.Background(), wl, hier, cpu.DefaultConfig(), cpu.EachEvent(func(e trace.Event) {
 		if sinkErr == nil && e.Cache == trace.L1D {
 			sinkErr = col.Add(e)
 		}
-	})
+	}))
 	if err != nil {
 		log.Fatal(err)
 	}

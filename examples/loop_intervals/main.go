@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -123,7 +124,7 @@ func addLineInterval(innerRange int) (float64, error) {
 	var addFrame uint32
 	seen := false
 	var sinkErr error
-	res, err := cpu.Run(w, hier, cpu.DefaultConfig(), func(e trace.Event) {
+	res, err := cpu.RunStreamContext(context.Background(), w, hier, cpu.DefaultConfig(), cpu.EachEvent(func(e trace.Event) {
 		if sinkErr != nil || e.Cache != trace.L1I {
 			return
 		}
@@ -132,7 +133,7 @@ func addLineInterval(innerRange int) (float64, error) {
 			seen = true
 		}
 		sinkErr = col.Add(e)
-	})
+	}))
 	if err != nil {
 		return 0, err
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,11 +46,11 @@ func main() {
 	}
 
 	var collectErr error
-	res, err := cpu.Run(w, hier, cpu.DefaultConfig(), func(e trace.Event) {
+	res, err := cpu.RunStreamContext(context.Background(), w, hier, cpu.DefaultConfig(), cpu.EachEvent(func(e trace.Event) {
 		if collectErr == nil && e.Cache == trace.L1D {
 			collectErr = collector.Add(e)
 		}
-	})
+	}))
 	if err != nil {
 		log.Fatal(err)
 	}

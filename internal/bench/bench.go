@@ -24,11 +24,17 @@ import (
 	"strings"
 )
 
-// Result is one benchmark's measurements.
+// Result is one benchmark's measurements at one GOMAXPROCS setting.
 type Result struct {
 	// Name is the benchmark name with the -N GOMAXPROCS suffix stripped
-	// (it is recorded once, in Snapshot.Host).
+	// (the suffix is recorded in Procs).
 	Name string `json:"name"`
+	// Procs is the GOMAXPROCS the benchmark ran at: the -N name suffix,
+	// or 1 when there is none (`go test` omits the suffix at 1). A run
+	// with -cpu 1,2 yields one Result per setting. Snapshots written
+	// before the field existed omit it; their results ran at
+	// Host.GOMAXPROCS (see Snapshot.Key).
+	Procs int `json:"procs,omitempty"`
 	// Iterations is the b.N the harness settled on.
 	Iterations int64 `json:"iterations"`
 	// NsPerOp is the headline wall-clock cost.
@@ -74,8 +80,8 @@ var ErrNoBenchmarks = errors.New("bench: no benchmark result lines in input")
 
 // RunOutput is everything Parse extracts from one `go test -bench` run:
 // the results plus the host hints the test binary printed in its
-// preamble (cpu:, goos:, goarch:) and the GOMAXPROCS suffix of the
-// benchmark names.
+// preamble (cpu:, goos:, goarch:) and the largest GOMAXPROCS suffix of
+// the benchmark names (0 when no name carries one).
 type RunOutput struct {
 	Results    []Result
 	CPU        string
@@ -94,8 +100,10 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(-(\d+))?\s+(\d+)\s+(.*)$`)
 
 // Parse reads `go test -bench -benchmem` output and extracts results and
 // host hints. Lines that are not benchmark results (PASS, test logs) are
-// ignored. Repeated runs of one benchmark (-count>1) fold into each
-// dimension's minimum — best-of-N, the standard benchmark noise filter:
+// ignored. Results are keyed by (name, GOMAXPROCS): the rows of a -cpu
+// 1,2 run stay separate, so a multi-core regression cannot hide behind
+// the single-core number. Repeated runs of one key (-count>1) fold into
+// each dimension's minimum — best-of-N, the standard benchmark noise filter:
 // scheduler preemption, GC pauses and pool-goroutine wakeups only ever
 // add time and allocations, so the minimum is the least-contaminated
 // sample of what the code itself costs. Custom ReportMetric values keep
@@ -103,10 +111,14 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(-(\d+))?\s+(\d+)\s+(.*)$`)
 func Parse(r io.Reader) (*RunOutput, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	type key struct {
+		name  string
+		procs int
+	}
 	out := &RunOutput{}
-	order := []string{}
-	acc := map[string]*Result{}
-	counts := map[string]int64{}
+	order := []key{}
+	acc := map[key]*Result{}
+	counts := map[key]int64{}
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
@@ -124,28 +136,33 @@ func Parse(r io.Reader) (*RunOutput, error) {
 		if m == nil {
 			continue
 		}
+		procs := 1
 		if m[3] != "" {
-			if p, err := strconv.Atoi(m[3]); err == nil {
-				out.GOMAXPROCS = p
+			p, err := strconv.Atoi(m[3])
+			if err != nil {
+				continue
 			}
+			procs = p
+			out.GOMAXPROCS = max(out.GOMAXPROCS, p)
 		}
 		iters, err := strconv.ParseInt(m[4], 10, 64)
 		if err != nil {
 			continue
 		}
-		res := Result{Name: m[1], Iterations: iters}
+		res := Result{Name: m[1], Procs: procs, Iterations: iters}
 		if err := parseMeasurements(m[5], &res); err != nil {
 			return nil, fmt.Errorf("bench: line %q: %w", sc.Text(), err)
 		}
-		if prev, ok := acc[res.Name]; ok {
-			mergeBest(prev, &res, counts[res.Name])
-			counts[res.Name]++
+		k := key{res.Name, procs}
+		if prev, ok := acc[k]; ok {
+			mergeBest(prev, &res, counts[k])
+			counts[k]++
 			continue
 		}
-		order = append(order, res.Name)
+		order = append(order, k)
 		r := res
-		acc[res.Name] = &r
-		counts[res.Name] = 1
+		acc[k] = &r
+		counts[k] = 1
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -153,10 +170,25 @@ func Parse(r io.Reader) (*RunOutput, error) {
 	if len(order) == 0 {
 		return nil, ErrNoBenchmarks
 	}
-	for _, name := range order {
-		out.Results = append(out.Results, *acc[name])
+	for _, k := range order {
+		out.Results = append(out.Results, *acc[k])
 	}
 	return out, nil
+}
+
+// Key names r the way `go test` prints it: Name, plus -N when r ran at
+// GOMAXPROCS N other than 1. Results without Procs (snapshots written
+// before the field existed) ran at the snapshot host's GOMAXPROCS. Key is
+// the identity Compare and coverage checks match rows by.
+func (s *Snapshot) Key(r *Result) string {
+	procs := r.Procs
+	if procs == 0 {
+		procs = s.Host.GOMAXPROCS
+	}
+	if procs <= 1 {
+		return r.Name
+	}
+	return fmt.Sprintf("%s-%d", r.Name, procs)
 }
 
 // parseMeasurements splits the "<value> <unit> <value> <unit> ..." tail.
@@ -237,6 +269,7 @@ func (s Severity) String() string {
 
 // Delta is one benchmark's baseline-vs-current comparison.
 type Delta struct {
+	// Name is the row's Snapshot.Key, e.g. "BenchmarkSuiteAll-2".
 	Name     string
 	Severity Severity
 	// Reason is empty for OK rows.
@@ -275,7 +308,8 @@ func (o CompareOptions) allocThreshold() float64 {
 	return o.AllocThreshold
 }
 
-// Compare evaluates current against base benchmark-by-benchmark.
+// Compare evaluates current against base row by row, matching rows by
+// Snapshot.Key — benchmark name and GOMAXPROCS.
 //
 // Gate policy: an allocs/op regression beyond the tolerance always fails
 // (allocation counts do not depend on the host), an ns/op regression
@@ -290,22 +324,23 @@ func Compare(base, current *Snapshot, opts CompareOptions) []Delta {
 	sameCPU := base.Host.CPU != "" && base.Host.CPU == current.Host.CPU
 	baseBy := map[string]*Result{}
 	for i := range base.Results {
-		baseBy[base.Results[i].Name] = &base.Results[i]
+		baseBy[base.Key(&base.Results[i])] = &base.Results[i]
 	}
 	curSeen := map[string]bool{}
 	var deltas []Delta
 	for i := range current.Results {
 		cur := &current.Results[i]
-		curSeen[cur.Name] = true
-		b, ok := baseBy[cur.Name]
+		name := current.Key(cur)
+		curSeen[name] = true
+		b, ok := baseBy[name]
 		if !ok {
 			deltas = append(deltas, Delta{
-				Name: cur.Name, Severity: Warn, Cur: cur,
+				Name: name, Severity: Warn, Cur: cur,
 				Reason: "new benchmark (no baseline)",
 			})
 			continue
 		}
-		d := Delta{Name: cur.Name, Base: b, Cur: cur}
+		d := Delta{Name: name, Base: b, Cur: cur}
 		if b.NsPerOp > 0 {
 			d.NsRatio = cur.NsPerOp / b.NsPerOp
 		}

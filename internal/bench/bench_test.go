@@ -69,6 +69,99 @@ BenchmarkX-2	10	150 ns/op	50 B/op	3 allocs/op
 	}
 }
 
+// TestParseKeepsProcsVariantsApart pins that the rows of a -cpu run stay
+// separate: folding BenchmarkX-1 and BenchmarkX-2 best-of-N would keep
+// the better of the two and hide a multi-core regression.
+func TestParseKeepsProcsVariantsApart(t *testing.T) {
+	const baseRun = `cpu: cpuA
+BenchmarkX-1	10	100 ns/op	10 B/op	1 allocs/op
+BenchmarkX-2	10	100 ns/op	10 B/op	1 allocs/op
+BenchmarkX-1	10	90 ns/op	10 B/op	1 allocs/op
+BenchmarkX-2	10	110 ns/op	10 B/op	1 allocs/op
+`
+	for _, tc := range []struct {
+		name     string
+		run      string
+		wantFail []string // keys of the rows that must fail the gate
+	}{
+		{
+			name: "unchanged",
+			run:  baseRun,
+		},
+		{
+			name: "allocs regress at -2 only",
+			run: `cpu: cpuA
+BenchmarkX-1	10	100 ns/op	10 B/op	1 allocs/op
+BenchmarkX-2	10	100 ns/op	30 B/op	3 allocs/op
+`,
+			wantFail: []string{"BenchmarkX-2"},
+		},
+		{
+			name: "time regresses at -2 only",
+			run: `cpu: cpuA
+BenchmarkX	10	90 ns/op	10 B/op	1 allocs/op
+BenchmarkX-2	10	300 ns/op	10 B/op	1 allocs/op
+`,
+			wantFail: []string{"BenchmarkX-2"},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base, err := Parse(strings.NewReader(baseRun))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(base.Results) != 2 {
+				t.Fatalf("got %d results, want one per GOMAXPROCS: %+v", len(base.Results), base.Results)
+			}
+			for i, want := range []struct {
+				procs int
+				ns    float64
+			}{{1, 90}, {2, 100}} {
+				if r := base.Results[i]; r.Name != "BenchmarkX" || r.Procs != want.procs || r.NsPerOp != want.ns {
+					t.Errorf("result %d = %+v, want BenchmarkX procs %d best %v ns/op", i, r, want.procs, want.ns)
+				}
+			}
+			if base.GOMAXPROCS != 2 {
+				t.Errorf("GOMAXPROCS = %d, want the largest suffix 2", base.GOMAXPROCS)
+			}
+			cur, err := Parse(strings.NewReader(tc.run))
+			if err != nil {
+				t.Fatal(err)
+			}
+			deltas := Compare(snap("cpuA", base.Results...), snap("cpuA", cur.Results...), CompareOptions{})
+			var failed []string
+			for _, d := range deltas {
+				if d.Severity != OK {
+					if d.Severity != Fail {
+						t.Errorf("%s: severity %v (%s), want ok or FAIL", d.Name, d.Severity, d.Reason)
+					}
+					failed = append(failed, d.Name)
+				}
+			}
+			if strings.Join(failed, ",") != strings.Join(tc.wantFail, ",") {
+				t.Errorf("failing rows = %v, want %v", failed, tc.wantFail)
+			}
+		})
+	}
+}
+
+// TestKeyDefaultsToHostProcs covers snapshots written before results
+// carried Procs: their rows ran at the host's GOMAXPROCS.
+func TestKeyDefaultsToHostProcs(t *testing.T) {
+	old := snap("cpuA", res("BenchmarkX", 100, 1))
+	if got := old.Key(&old.Results[0]); got != "BenchmarkX" {
+		t.Errorf("key at host GOMAXPROCS 1 = %q, want BenchmarkX", got)
+	}
+	old.Host.GOMAXPROCS = 4
+	if got := old.Key(&old.Results[0]); got != "BenchmarkX-4" {
+		t.Errorf("key at host GOMAXPROCS 4 = %q, want BenchmarkX-4", got)
+	}
+	r := Result{Name: "BenchmarkX", Procs: 2}
+	if got := old.Key(&r); got != "BenchmarkX-2" {
+		t.Errorf("explicit Procs key = %q, want BenchmarkX-2", got)
+	}
+}
+
 func TestParseCustomMetrics(t *testing.T) {
 	in := "BenchmarkY	5	10 ns/op	1234 instr/s	0 B/op	0 allocs/op\n"
 	out, err := Parse(strings.NewReader(in))

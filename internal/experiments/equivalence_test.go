@@ -1,11 +1,11 @@
 package experiments
 
-// Property test for the streaming tentpole: the per-event golden path
-// (cpu.Run with a one-event-at-a-time sink and standalone Classify/Observe
-// calls), the fused single-pass streaming path (cpu.RunStream with
-// ClassifyObserve and shared stride tables), and the ring/sharded path
-// must produce byte-identical interval distributions, engine statistics
-// and leakage evaluations — for randomized workloads, not just the six
+// Property test for the streaming pipeline: the per-event golden path
+// (cpu.EachEvent delivering one event at a time to standalone
+// Classify/Observe calls) and the fused single-pass streaming path
+// (column reads with ClassifyObserve and shared stride tables) must
+// produce byte-identical interval distributions, engine statistics and
+// leakage evaluations — for randomized workloads, not just the six
 // built-in benchmarks. Runs under -race in CI (make race covers ./...).
 
 import (
@@ -103,7 +103,7 @@ func simulateGolden(t *testing.T, name string, w workload.Workload) (*BenchmarkD
 		return nil, err
 	}
 	var sinkErr error
-	res, err := cpu.Run(w, hier, cpu.DefaultConfig(), func(e trace.Event) {
+	res, err := cpu.RunStreamContext(context.Background(), w, hier, cpu.DefaultConfig(), cpu.EachEvent(func(e trace.Event) {
 		if sinkErr != nil {
 			return
 		}
@@ -117,7 +117,7 @@ func simulateGolden(t *testing.T, name string, w workload.Workload) (*BenchmarkD
 		case trace.L2:
 			sinkErr = l2Col.Add(e)
 		}
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -169,10 +169,9 @@ func requireSameData(t *testing.T, label string, a, b *BenchmarkData) {
 	}
 }
 
-// TestStreamingEquivalenceRandomWorkloads is the tentpole's property
-// test: for randomized workload seeds, the fused streaming pipeline and
-// the ring/sharded pipeline must match the per-event golden pipeline bit
-// for bit.
+// TestStreamingEquivalenceRandomWorkloads is the pipeline's property
+// test: for randomized workload seeds, the fused streaming pipeline must
+// match the per-event golden pipeline bit for bit.
 func TestStreamingEquivalenceRandomWorkloads(t *testing.T) {
 	seeds := []uint64{1, 0xDECAF, 0xC0FFEE42}
 	if testing.Short() {
@@ -189,22 +188,12 @@ func TestStreamingEquivalenceRandomWorkloads(t *testing.T) {
 				t.Fatalf("golden: %v", err)
 			}
 
-			hier, iClass, dClass, iEng, dEng := equivParts(t)
-			fused, err := simulateInline(context.Background(), name,
-				seededWorkload(t, seed), hier, iClass, dClass, iEng, dEng)
+			fused, err := simulate(context.Background(), name, seededWorkload(t, seed))
 			if err != nil {
 				t.Fatalf("inline: %v", err)
 			}
 
-			hier, iClass, dClass, iEng, dEng = equivParts(t)
-			ring, err := simulateRing(context.Background(), name,
-				seededWorkload(t, seed), hier, iClass, dClass, iEng, dEng, 4)
-			if err != nil {
-				t.Fatalf("ring: %v", err)
-			}
-
 			requireSameData(t, "golden-vs-inline", golden, fused)
-			requireSameData(t, "golden-vs-ring", golden, ring)
 		})
 	}
 }

@@ -48,11 +48,11 @@ func SimulateCustomContext(ctx context.Context, name string, scale float64, hc c
 		return nil, cpu.Result{}, err
 	}
 	var sinkErr error
-	res, err := cpu.RunContext(ctx, w, hier, cpu.DefaultConfig(), func(e trace.Event) {
+	res, err := cpu.RunStreamContext(ctx, w, hier, cpu.DefaultConfig(), cpu.EachEvent(func(e trace.Event) {
 		if sinkErr == nil && e.Cache == side {
 			sinkErr = col.Add(e)
 		}
-	})
+	}))
 	if err != nil {
 		return nil, cpu.Result{}, err
 	}

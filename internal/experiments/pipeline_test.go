@@ -1,7 +1,7 @@
 package experiments
 
-// Tests for the parallel pipeline: sharded collection must be
-// bit-identical to sequential collection, the evaluation grid must be
+// Tests for the parallel pipeline: the benchmark fan-out must be
+// bit-identical to sequential simulation, the evaluation grid must be
 // bit-identical to the sequential evaluation loops it replaced,
 // cancellation must be prompt and leak-free, and the singleflight gate
 // must collapse concurrent simulations of one benchmark into one run.
@@ -15,45 +15,57 @@ import (
 	"testing"
 	"time"
 
+	"leakbound/internal/interval"
 	"leakbound/internal/leakage"
 	"leakbound/internal/power"
 	"leakbound/internal/telemetry"
 )
 
-// TestShardedSuiteMatchesSequential pins the tentpole invariant end to
-// end: a suite collecting with 4 shards per cache produces byte-identical
-// distributions and identical simulation results to a 1-worker
-// (inline, sequential) suite.
+// TestShardedSuiteMatchesSequential pins the suite's determinism across
+// worker counts: AllContext with its benchmarks sharded over 4 pool
+// workers (the benchmark fan-out) produces identical simulation results,
+// byte-identical distributions and identical engine statistics to a
+// 1-worker (sequential) suite, and conservation holds on every
+// distribution.
 func TestShardedSuiteMatchesSequential(t *testing.T) {
 	seq := MustNew(WithScale(0.05), WithWorkers(1), WithMetrics(telemetry.NewRegistry()))
 	par := MustNew(WithScale(0.05), WithWorkers(4), WithMetrics(telemetry.NewRegistry()))
-	for _, name := range []string{"gzip", "vortex"} {
-		sd, err := seq.Data(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pd, err := par.Data(name)
-		if err != nil {
-			t.Fatal(err)
+	sAll, err := seq.AllContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pAll, err := par.AllContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sAll) != len(pAll) {
+		t.Fatalf("benchmark counts differ: %d vs %d", len(sAll), len(pAll))
+	}
+	for i, sd := range sAll {
+		pd := pAll[i]
+		name := sd.Name
+		if pd.Name != name {
+			t.Fatalf("order differs at %d: %s vs %s", i, name, pd.Name)
 		}
 		if sd.Result != pd.Result {
 			t.Errorf("%s: results differ: %+v vs %+v", name, sd.Result, pd.Result)
 		}
 		if !sd.ICache.Equal(pd.ICache) {
-			t.Errorf("%s: I-cache distributions differ between 1 and 4 shards", name)
+			t.Errorf("%s: I-cache distributions differ between 1 and 4 workers", name)
 		}
 		if !sd.DCache.Equal(pd.DCache) {
-			t.Errorf("%s: D-cache distributions differ between 1 and 4 shards", name)
+			t.Errorf("%s: D-cache distributions differ between 1 and 4 workers", name)
 		}
 		if !sd.L2Cache.Equal(pd.L2Cache) {
-			t.Errorf("%s: L2 distributions differ between 1 and 4 shards", name)
+			t.Errorf("%s: L2 distributions differ between 1 and 4 workers", name)
 		}
 		if sd.IEngine != pd.IEngine || sd.DEngine != pd.DEngine {
-			t.Errorf("%s: prefetch engine stats differ between shard counts", name)
+			t.Errorf("%s: prefetch engine stats differ between worker counts", name)
 		}
-		// Conservation must hold on the sharded output too.
-		if pd.ICache.Mass() != uint64(pd.ICache.NumFrames)*pd.Result.Cycles {
-			t.Errorf("%s: sharded I-cache violates mass conservation", name)
+		for _, d := range []*interval.Distribution{pd.ICache, pd.DCache, pd.L2Cache} {
+			if d.Mass() != uint64(d.NumFrames)*pd.Result.Cycles {
+				t.Errorf("%s: fanned-out distribution violates mass conservation", name)
+			}
 		}
 	}
 }
@@ -155,7 +167,7 @@ func TestGridMatchesSequential(t *testing.T) {
 
 // TestAllContextCancelNoLeak cancels a suite-wide simulation mid-flight:
 // AllContext must return ctx.Err() promptly, and every pipeline goroutine
-// (pool workers, shard workers) must drain afterwards.
+// (the pool workers) must drain afterwards.
 func TestAllContextCancelNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	reg := telemetry.NewRegistry()

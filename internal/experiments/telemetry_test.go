@@ -14,7 +14,8 @@ import (
 // contract: several goroutines drive Suite.All() on the same suite at
 // once, so every per-benchmark sink (and its unsynchronized sinkErr) runs
 // inside the bounded pool while other callers race on Data's cache. The
-// sink state must stay single-goroutine-owned per cpu.Run call.
+// sink state must stay single-goroutine-owned per cpu.RunStreamContext
+// call.
 func TestSuiteAllConcurrentRace(t *testing.T) {
 	s := MustNew(WithScale(0.02))
 	var wg sync.WaitGroup

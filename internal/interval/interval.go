@@ -283,15 +283,14 @@ func (d *Distribution) Each(fn func(length uint64, flags Flags, count uint64) bo
 }
 
 // Merge folds other into d. Frame counts add — the operands are treated as
-// disjoint frame populations observed over the same run, which covers both
-// uses: recombining per-shard distributions from a ShardedCollector
-// (bit-identical to the unsharded result, since bucket counts, interval
-// counts and mass are all additive) and aggregating benchmarks for
-// suite-wide views. Time horizons are maxed so the conservation invariant
-// (Mass == NumFrames x TotalCycles) survives merging same-horizon shards.
+// disjoint frame populations, which is how suite-wide views aggregate
+// benchmarks (Suite.MergedDistributions). Bucket counts, interval counts
+// and mass are all additive, and time horizons are maxed, so merging
+// same-horizon operands preserves the conservation invariant
+// (Mass == NumFrames x TotalCycles).
 //
 // Merge adds rows directly rather than iterating buckets through Each, so
-// folding a shard in costs a few row sweeps, not a full ordered walk.
+// folding an operand in costs a few row sweeps, not a full ordered walk.
 func (d *Distribution) Merge(other *Distribution) error {
 	if other == nil {
 		return fmt.Errorf("%w: merge operand", ErrNilDistribution)
@@ -406,15 +405,6 @@ func NewCollector(cacheID trace.CacheID, numFrames uint32, classifier Classifier
 // simulator sink can fan out to several collectors. Events must arrive in
 // non-decreasing cycle order.
 func (c *Collector) Add(e trace.Event) error {
-	return c.add(e, 0, true)
-}
-
-// add is the collection core. When classify is true the collector's own
-// classifier computes the prefetch flags in stream order; when false the
-// caller supplies them in pre (the sharded path classifies on the producer
-// side, where global stream order is still visible, and ships the flags
-// with the event).
-func (c *Collector) add(e trace.Event, pre Flags, classify bool) error {
 	if c.finished {
 		return fmt.Errorf("%w: Add after Finish", ErrFinished)
 	}
@@ -441,8 +431,8 @@ func (c *Collector) add(e trace.Event, pre Flags, classify bool) error {
 		start := prev - 1
 		length := e.Cycle - start
 		if length > 0 {
-			flags := pre & (NLPrefetchable | StridePrefetchable)
-			if classify && c.classifier != nil {
+			var flags Flags
+			if c.classifier != nil {
 				flags = c.classifier.Classify(e, start) & (NLPrefetchable | StridePrefetchable)
 			}
 			if c.dirty[e.Frame] {
@@ -456,7 +446,7 @@ func (c *Collector) add(e trace.Event, pre Flags, classify bool) error {
 			c.dist.Add(length, flags, 1)
 		}
 	}
-	if classify && c.classifier != nil {
+	if c.classifier != nil {
 		c.classifier.Observe(e)
 	}
 	c.lastAccess[e.Frame] = e.Cycle + 1
@@ -485,7 +475,7 @@ func (c *Collector) AddBatch(b *stream.Batch) error {
 		// Classifier without a fused fast path: fall back to event form so
 		// Classify/Observe see exactly what Add would hand them.
 		for i, n := 0, b.Len(); i < n; i++ {
-			if err := c.add(b.Event(i), 0, true); err != nil {
+			if err := c.Add(b.Event(i)); err != nil {
 				return err
 			}
 		}
@@ -515,10 +505,10 @@ func (c *Collector) AddCols(cycle, lineAddr, pc uint64, frame uint32, cacheID tr
 		return fmt.Errorf("%w: Add after Finish", ErrFinished)
 	}
 	if c.classifier != nil && c.streamCl == nil {
-		return c.add(trace.Event{
+		return c.Add(trace.Event{
 			Cycle: cycle, LineAddr: lineAddr, Frame: frame, PC: pc,
 			Cache: cacheID, Kind: kind, Miss: miss,
-		}, 0, true)
+		})
 	}
 	return c.addCols(cycle, lineAddr, pc, frame, kind, miss)
 }

@@ -1,6 +1,7 @@
 package leakage
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -179,11 +180,11 @@ func testTraceEvents(t *testing.T) ([]trace.Event, uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cpu.Run(w, hier, cpu.DefaultConfig(), func(e trace.Event) {
+	res, err := cpu.RunStreamContext(context.Background(), w, hier, cpu.DefaultConfig(), cpu.EachEvent(func(e trace.Event) {
 		if e.Cache == trace.L1D {
 			sharedEvents = append(sharedEvents, e)
 		}
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

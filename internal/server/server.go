@@ -14,7 +14,7 @@
 // WithWorkers bound — keeps the simulator from oversubscribing the
 // machine, with bounded queueing and honest 429/503 + Retry-After
 // responses past the bound. Each request's context is tied to its client
-// connection and to the server's lifetime, and flows into cpu.RunContext,
+// connection and to the server's lifetime, and flows into cpu.RunStreamContext,
 // so a hung-up client or a drain cancels the simulation it was paying
 // for.
 //

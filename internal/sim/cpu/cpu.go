@@ -51,16 +51,6 @@ func (c Config) Validate() error {
 	return c.Branch.validate()
 }
 
-// Sink receives timed cache access events as the simulation runs. Events
-// arrive in non-decreasing cycle order.
-//
-// Contract: Run invokes sink synchronously, on the goroutine Run itself was
-// called from, and never after Run returns. A sink therefore needs no
-// internal synchronization for state owned by that one Run call (e.g. an
-// error variable the caller inspects afterwards) — but state shared between
-// concurrent Run calls must be synchronized by the caller.
-type Sink func(trace.Event)
-
 // Result summarizes one simulation run.
 type Result struct {
 	Cycles       uint64
@@ -80,109 +70,53 @@ func (r Result) IPC() float64 {
 	return float64(r.Instructions) / float64(r.Cycles)
 }
 
-// Run simulates the workload through the hierarchy, pushing every L1I, L1D
-// and L2 access to sink (which may be nil to collect statistics only).
-// It is RunContext with a background context.
-func Run(w workload.Workload, hier *cache.Hierarchy, cfg Config, sink Sink) (Result, error) {
-	return RunContext(context.Background(), w, hier, cfg, sink)
-}
-
 // ctxCheckMask throttles cancellation checks to every 4096 instructions —
 // frequent enough that a multi-million-instruction run stops within
 // microseconds of cancellation, rare enough that the hot loop never feels
 // the context's mutex.
 const ctxCheckMask = 1<<12 - 1
 
-// RunContext is Run with cooperative cancellation: the simulation polls
-// ctx every few thousand instructions and, once the context is done, stops
-// emitting, flushes its partial run totals to telemetry (so an aborted
-// sweep still leaves an audit trail), and returns the partial Result
-// together with ctx.Err(). The sink contract is unchanged: it is invoked
-// synchronously on this goroutine and never after RunContext returns.
-func RunContext(ctx context.Context, w workload.Workload, hier *cache.Hierarchy, cfg Config, sink Sink) (Result, error) {
-	m, err := newMachine(ctx, w, hier, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	m.sink = sink
-	return m.run(w)
-}
-
-// RunStream simulates the workload, delivering events to sink in
-// fixed-capacity struct-of-arrays batches instead of one callback per
-// event — the single-pass streaming path: no event slice is ever
-// materialized, and the one batch buffer is reused for the whole run.
-// It is RunStreamContext with a background context.
+// RunStreamContext simulates the workload through the hierarchy,
+// delivering every L1I, L1D and L2 access to sink in fixed-capacity
+// struct-of-arrays batches — the single-pass streaming path: no event
+// slice is ever materialized, and the one batch buffer is reused for the
+// whole run. sink runs synchronously on this goroutine, roughly once per
+// cancellation-poll window, and never after RunStreamContext returns; the
+// batch it receives is reused as soon as it returns. A sink error stops
+// the simulation and is returned with the partial Result.
+//
+// The simulation polls ctx every few thousand instructions and, once the
+// context is done, stops emitting, flushes its partial run totals to
+// telemetry (so an aborted sweep still leaves an audit trail), and
+// returns the partial Result together with ctx.Err().
 //
 //lint:hotpath entry
-func RunStream(w workload.Workload, hier *cache.Hierarchy, cfg Config, sink stream.Sink) (Result, error) {
-	return RunStreamContext(context.Background(), w, hier, cfg, sink)
-}
-
-// RunStreamContext is RunStream with cooperative cancellation (see
-// RunContext). sink runs synchronously on this goroutine, roughly once
-// per cancellation-poll window; the batch it receives is reused as soon
-// as it returns. A sink error stops the simulation and is returned with
-// the partial Result. Event order and timing are bit-identical to
-// RunContext over the same inputs.
 func RunStreamContext(ctx context.Context, w workload.Workload, hier *cache.Hierarchy, cfg Config, sink stream.Sink) (Result, error) {
 	if sink == nil {
 		return Result{}, errors.New("cpu: nil batch sink")
 	}
-	m, err := newMachine(ctx, w, hier, cfg)
+	m, err := newMachine(ctx, w, hier, cfg, sink)
 	if err != nil {
 		return Result{}, err
-	}
-	m.batch = stream.NewBatch(stream.DefaultBatchEvents)
-	m.flushFn = func(b *stream.Batch) (*stream.Batch, error) {
-		//lint:ignore hotalloc one indirect sink call per full batch, amortized over DefaultBatchEvents events
-		err := sink(b)
-		b.Reset()
-		return b, err
-	}
-	m.finishFn = func(b *stream.Batch) error {
-		if b.Len() == 0 {
-			return nil
-		}
-		//lint:ignore hotalloc final partial-batch flush, once per run
-		return sink(b)
 	}
 	return m.run(w)
 }
 
-// RunRingContext is RunStreamContext decoupled through an SPSC ring: the
-// simulation (producer) fills batches from the ring's free list and a
-// consumer goroutine drains them (typically via Ring.Consume),
-// overlapping simulation with analysis on multi-core hosts. The ring is
-// always closed before RunRingContext returns — including on
-// cancellation — so the consumer terminates; callers must still wait for
-// the consumer to finish before reading its results.
-//
-//lint:hotpath entry
-func RunRingContext(ctx context.Context, w workload.Workload, hier *cache.Hierarchy, cfg Config, ring *stream.Ring) (Result, error) {
-	if ring == nil {
-		return Result{}, errors.New("cpu: nil ring")
-	}
-	m, err := newMachine(ctx, w, hier, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	defer ring.Close()
-	m.batch = ring.Get()
-	m.flushFn = func(b *stream.Batch) (*stream.Batch, error) {
-		ring.Send(b)
-		return ring.Get(), nil
-	}
-	m.finishFn = func(b *stream.Batch) error {
-		if b.Len() > 0 {
-			ring.Send(b)
+// EachEvent adapts a per-event callback to a batch sink, reconstructing
+// each event with Batch.Event. It is for callers that want one
+// trace.Event at a time — examples, small tools and the golden reference
+// legs of the equivalence tests — not for the hot path, which reads the
+// batch columns directly.
+func EachEvent(fn func(trace.Event)) stream.Sink {
+	return func(b *stream.Batch) error {
+		for i, n := 0, b.Len(); i < n; i++ {
+			fn(b.Event(i))
 		}
 		return nil
 	}
-	return m.run(w)
 }
 
-func newMachine(ctx context.Context, w workload.Workload, hier *cache.Hierarchy, cfg Config) (*machine, error) {
+func newMachine(ctx context.Context, w workload.Workload, hier *cache.Hierarchy, cfg Config, sink stream.Sink) (*machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -195,6 +129,7 @@ func newMachine(ctx context.Context, w workload.Workload, hier *cache.Hierarchy,
 	hc := hier.Config()
 	m := &machine{
 		cfg: cfg, hier: hier, ctx: ctx,
+		batch: stream.NewBatch(stream.DefaultBatchEvents), sink: sink,
 		l1i: hier.L1I(), l1d: hier.L1D(), l2: hier.L2(),
 		l1iHitLat: uint64(hc.L1I.HitLatency),
 		l1dHitLat: uint64(hc.L1D.HitLatency),
@@ -207,13 +142,14 @@ func newMachine(ctx context.Context, w workload.Workload, hier *cache.Hierarchy,
 	return m, nil
 }
 
-// run drives the instruction stream to completion (or cancellation) and
-// assembles the Result; shared by the per-event and batched entry points.
+// run drives the instruction stream to completion (or cancellation),
+// delivers the final partial batch, and assembles the Result.
 func (m *machine) run(w workload.Workload) (Result, error) {
 	w.Emit(m.consume)
 	m.flushGroup()
-	if m.finishFn != nil && m.sinkErr == nil && m.ctxErr == nil {
-		m.sinkErr = m.finishFn(m.batch)
+	if m.batch.Len() > 0 && m.sinkErr == nil && m.ctxErr == nil {
+		//lint:ignore hotalloc final partial-batch flush, once per run
+		m.sinkErr = m.sink(m.batch)
 	}
 	res := Result{
 		Cycles:       m.cycle,
@@ -245,12 +181,11 @@ func (m *machine) run(w workload.Workload) (Result, error) {
 	return res, nil
 }
 
-// machine holds the in-flight fetch group and the cycle clock. Exactly
-// one of sink (per-event mode) or batch+flushFn (streaming mode) is set.
+// machine holds the in-flight fetch group, the cycle clock and the batch
+// being filled for the sink.
 type machine struct {
 	cfg    Config
 	hier   *cache.Hierarchy
-	sink   Sink
 	ctx    context.Context
 	ctxErr error
 
@@ -260,14 +195,12 @@ type machine struct {
 	l1i, l1d, l2                           *cache.Cache
 	l1iHitLat, l1dHitLat, l2HitLat, memLat uint64
 
-	// Streaming mode: emit appends columns to batch; when it fills,
-	// flushFn delivers it and returns the next buffer to fill (the same
-	// one reset, or a fresh ring batch). finishFn delivers the final
-	// partial batch after the last fetch group retires.
-	batch    *stream.Batch
-	flushFn  func(*stream.Batch) (*stream.Batch, error)
-	finishFn func(*stream.Batch) error
-	sinkErr  error
+	// emit appends columns to batch; when it fills, flushBatch hands it
+	// to sink and reuses it. run delivers the final partial batch after
+	// the last fetch group retires.
+	batch   *stream.Batch
+	sink    stream.Sink
+	sinkErr error
 
 	cycle  uint64
 	instrs uint64
@@ -376,76 +309,26 @@ func (m *machine) flushGroup() {
 	m.group = m.group[:0]
 }
 
-// emit delivers one event by columns: appended to the current batch in
-// streaming mode (flushing when full), or boxed into a trace.Event for
-// the per-event sink.
+// emit appends one event by columns to the current batch, flushing it to
+// the sink when full.
 func (m *machine) emit(cycle, lineAddr, pc uint64, frame uint32, cacheID trace.CacheID, kind trace.Kind, miss bool) {
 	m.events++
-	if m.batch != nil {
-		//lint:ignore hotalloc batch columns are fixed-capacity and Full() flushes before any append could grow them
-		m.batch.Append(cycle, lineAddr, pc, frame, cacheID, kind, miss)
-		if m.batch.Full() {
-			m.flushBatch()
-		}
-		return
-	}
-	if m.sink != nil {
-		//lint:ignore hotalloc per-event sink is the compatibility path; the streaming entry points leave m.sink nil
-		m.sink(trace.Event{
-			Cycle:    cycle,
-			LineAddr: lineAddr,
-			Frame:    frame,
-			PC:       pc,
-			Cache:    cacheID,
-			Kind:     kind,
-			Miss:     miss,
-		})
+	//lint:ignore hotalloc batch columns are fixed-capacity and Full() flushes before any append could grow them
+	m.batch.Append(cycle, lineAddr, pc, frame, cacheID, kind, miss)
+	if m.batch.Full() {
+		m.flushBatch()
 	}
 }
 
+// flushBatch delivers the full batch and resets it for reuse; after a sink
+// error it only drops the events while the generator winds down.
 func (m *machine) flushBatch() {
-	if m.sinkErr != nil {
-		m.batch.Reset()
-		return
-	}
-	//lint:ignore hotalloc one indirect flush per full batch
-	next, err := m.flushFn(m.batch)
-	if err != nil {
-		m.sinkErr = err
-		m.stopping = true
-		m.batch.Reset()
-		return
-	}
-	m.batch = next
-}
-
-// RunToStream is a convenience wrapper that collects all events for one
-// cache into an in-memory trace.Stream; intended for tests and small tools,
-// not full-length runs. It is RunToStreamContext with a background context.
-func RunToStream(w workload.Workload, hier *cache.Hierarchy, cfg Config, id trace.CacheID) (*trace.Stream, Result, error) {
-	return RunToStreamContext(context.Background(), w, hier, cfg, id)
-}
-
-// RunToStreamContext is RunToStream with cooperative cancellation; see
-// RunContext for the cancellation semantics.
-func RunToStreamContext(ctx context.Context, w workload.Workload, hier *cache.Hierarchy, cfg Config, id trace.CacheID) (*trace.Stream, Result, error) {
-	s := &trace.Stream{}
-	res, err := RunContext(ctx, w, hier, cfg, func(e trace.Event) {
-		if e.Cache == id {
-			if err := s.Append(e); err != nil {
-				panic(err) // Run guarantees monotone cycles; a failure here is a bug
-			}
+	if m.sinkErr == nil {
+		//lint:ignore hotalloc one indirect sink call per full batch, amortized over DefaultBatchEvents events
+		if err := m.sink(m.batch); err != nil {
+			m.sinkErr = err
+			m.stopping = true
 		}
-	})
-	if err != nil {
-		return nil, Result{}, err
 	}
-	if res.Cycles > s.TotalCycles {
-		s.TotalCycles = res.Cycles
-	}
-	c := hier.CacheByID(id)
-	if c != nil {
-		s.NumFrames = uint32(c.Config().NumLines())
-	}
-	return s, res, nil
+	m.batch.Reset()
 }

@@ -3,7 +3,7 @@
 // histograms, organized into named scopes under a registry that snapshots
 // deterministically to text and JSON.
 //
-// The hot paths (cpu.Run, interval.Collector, prefetch.Engine) accumulate
+// The hot paths (cpu.RunStreamContext, interval.Collector, prefetch.Engine) accumulate
 // locally and flush into the default registry once per run/Finish, so
 // instrumentation costs nothing per simulated event; coarse-grained callers
 // (experiments.Suite, the worker pool) record directly. All metric

@@ -19,6 +19,10 @@
 #               when a benchmark recorded in that snapshot is absent from
 #               this run — e.g. a deliberately narrowed BENCH)
 #
+# Every benchmark runs at GOMAXPROCS 1 and 2 (-cpu 1,2); each setting is
+# its own row in the snapshot, so a multi-core regression cannot hide
+# behind the single-core number.
+#
 # The benchmark selection is intentionally the *end-to-end* set: the
 # full-suite simulation (BenchmarkSuiteAll) that the ≥5x streaming claim
 # is made against, plus the per-benchmark pipeline and grid benches.
@@ -28,7 +32,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 GO="${GO:-go}"
-BENCH="${BENCH:-^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkPipelineSimulateGzipSharded|BenchmarkGridFigure8Workers1|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)\$}"
+BENCH="${BENCH:-^(BenchmarkSuiteAll|BenchmarkPipelineSimulateGzip|BenchmarkGridFigure8Workers1|BenchmarkSweepDense256Reference|BenchmarkSweepDense256Aggregates|BenchmarkParetoPopulation|BenchmarkSpecCompile|BenchmarkReplayPass)\$}"
 BENCHTIME="${BENCHTIME:-100ms}"
 COUNT="${COUNT:-3}"
 OUT="${OUT:-.}"
@@ -40,8 +44,8 @@ COMMIT=$(git rev-parse --short HEAD 2>/dev/null || echo "")
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 
-echo "running: $GO test -run '^\$' -bench '$BENCH' -benchmem -benchtime $BENCHTIME -count $COUNT ." >&2
-$GO test -run '^$' -bench "$BENCH" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$tmp" >&2
+echo "running: $GO test -run '^\$' -bench '$BENCH' -benchmem -benchtime $BENCHTIME -count $COUNT -cpu 1,2 ." >&2
+$GO test -run '^$' -bench "$BENCH" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" -cpu 1,2 . | tee "$tmp" >&2
 
 set -- -out "$OUT" -date "$DATE" -commit "$COMMIT"
 if [ -n "$LABEL" ]; then
