@@ -45,11 +45,13 @@ vulncheck:
 	fi
 
 # The parallel-pipeline determinism suite under the race detector: the
-# merge property test, and the fan-out/grid/singleflight/cancellation
-# tests of the experiments package.
+# merge property test, the memo primitive's whole suite, and the
+# fan-out/grid/singleflight/cancellation/concurrent-store tests of the
+# experiments package.
 test-parallel:
 	$(GO) test -race -count=1 -run 'TestMerge' ./internal/interval/
-	$(GO) test -race -count=1 -run 'TestShardedSuite|TestGridMatches|TestAllContextCancel|TestDataSingleflight|TestWaiterCancellation' ./internal/experiments/
+	$(GO) test -race -count=1 ./internal/memo/
+	$(GO) test -race -count=1 -run 'TestShardedSuite|TestGridMatches|TestAllContextCancel|TestDataSingleflight|TestWaiterCancellation|TestDiskCacheConcurrentStore' ./internal/experiments/
 
 # One iteration of every benchmark, no unit tests: a smoke test that keeps
 # bench_test.go compiling and running (the nightly CI job runs this).

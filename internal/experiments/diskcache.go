@@ -9,6 +9,7 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -94,9 +95,12 @@ func (s *Suite) loadCached(key, name string) (d *BenchmarkData) {
 	if iDist == nil || dDist == nil || l2Dist == nil {
 		return nil
 	}
-	// Sanity: the cached distributions must be mutually consistent.
-	if iDist.TotalCycles != meta.Result.Cycles || dDist.TotalCycles != meta.Result.Cycles {
-		return nil
+	// Sanity: every distribution must span the run's cycles and conserve
+	// mass (each frame's intervals tile the run exactly).
+	for _, dist := range []*interval.Distribution{iDist, dDist, l2Dist} {
+		if dist.TotalCycles != meta.Result.Cycles || dist.Mass() != uint64(dist.NumFrames)*dist.TotalCycles {
+			return nil
+		}
 	}
 	return &BenchmarkData{
 		Name: name, Result: meta.Result,
@@ -123,31 +127,38 @@ func (s *Suite) storeCached(key string, d *BenchmarkData) {
 	if err != nil {
 		return
 	}
-	store := func(suffix string, dist *interval.Distribution) bool {
-		f, err := os.Create(base + suffix + ".tmp")
+	// Each file goes to a unique temporary name and is renamed into place,
+	// so suites sharing the directory never write into each other's file.
+	place := func(suffix string, write func(io.Writer) error) bool {
+		f, err := os.CreateTemp(s.cacheDir, key+suffix+".*.tmp")
 		if err != nil {
 			return false
 		}
-		if err := interval.WriteDistribution(f, dist); err != nil {
-			f.Close()
-			os.Remove(base + suffix + ".tmp")
-			return false
+		if err = f.Chmod(0o644); err == nil {
+			err = write(f)
 		}
-		if err := f.Close(); err != nil {
-			os.Remove(base + suffix + ".tmp")
-			return false
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		return os.Rename(base+suffix+".tmp", base+suffix) == nil
+		if err == nil {
+			err = os.Rename(f.Name(), base+suffix)
+		}
+		if err != nil {
+			os.Remove(f.Name())
+		}
+		return err == nil
 	}
-	if !store(".icache", d.ICache) || !store(".dcache", d.DCache) || !store(".l2", d.L2Cache) {
+	dist := func(d *interval.Distribution) func(io.Writer) error {
+		return func(w io.Writer) error { return interval.WriteDistribution(w, d) }
+	}
+	if !place(".icache", dist(d.ICache)) || !place(".dcache", dist(d.DCache)) || !place(".l2", dist(d.L2Cache)) {
 		return
 	}
 	// The JSON sidecar goes last: its presence marks the entry complete.
-	tmp := base + ".json.tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return
-	}
-	if os.Rename(tmp, base+".json") == nil {
+	if place(".json", func(w io.Writer) error {
+		_, err := w.Write(raw)
+		return err
+	}) {
 		s.metrics.Scope("diskcache").Counter("stores").Add(1)
 	}
 }

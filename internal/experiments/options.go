@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"leakbound/internal/memo"
 	"leakbound/internal/telemetry"
 )
 
@@ -79,10 +80,8 @@ func WithWorkers(n int) Option {
 // telemetry registry, parallelized over GOMAXPROCS workers.
 func New(opts ...Option) (*Suite, error) {
 	s := &Suite{
-		scale:    DefaultScale,
-		metrics:  telemetry.Default(),
-		data:     make(map[string]*BenchmarkData),
-		inflight: make(map[string]*inflightSim),
+		scale:   DefaultScale,
+		metrics: telemetry.Default(),
 	}
 	for _, opt := range opts {
 		if opt == nil {
@@ -92,6 +91,10 @@ func New(opts ...Option) (*Suite, error) {
 			return nil, err
 		}
 	}
+	// The registered set is closed once the options are applied, so
+	// retaining len(BenchmarkNames()) results never evicts one.
+	s.data = memo.New[string, *BenchmarkData](len(s.BenchmarkNames()), nil)
+	s.adhoc = memo.New[string, *BenchmarkData](adhocDataCap, nil)
 	return s, nil
 }
 

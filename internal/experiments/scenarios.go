@@ -37,8 +37,8 @@ type Scenario interface {
 }
 
 // adhocDataCap bounds how many ad-hoc scenario results (one per distinct
-// POSTed spec digest) the suite retains in memory; the oldest entry is
-// evicted beyond that. Registered benchmarks are never evicted.
+// POSTed spec digest) the suite retains in memory, evicting the least
+// recently used beyond that. Registered benchmarks are never evicted.
 const adhocDataCap = 8
 
 // WithScenarios registers extra benchmarks alongside the built-in six.
@@ -111,8 +111,8 @@ func (s *Suite) Scenarios() []Scenario {
 // need not be registered — the serving layer's path for specs that
 // arrive in a request body. Results are keyed by the scenario's digest:
 // repeated queries for the same spec reuse one simulation (singleflight
-// plus a bounded in-memory window of adhocDataCap entries, plus the disk
-// cache if enabled), and a registered scenario with the same name and
+// plus an LRU window of adhocDataCap entries, plus the disk cache if
+// enabled), and a registered scenario with the same name and
 // digest shares the registered entry outright.
 func (s *Suite) DataForScenarioContext(ctx context.Context, sc Scenario) (*BenchmarkData, error) {
 	if sc == nil {
@@ -128,10 +128,11 @@ func (s *Suite) DataForScenarioContext(ctx context.Context, sc Scenario) (*Bench
 	if reg, ok := s.scenarioIdx[name]; ok && reg.ScenarioDigest() == digest {
 		return s.DataContext(ctx, name)
 	}
-	return s.dataByKey(ctx, "adhoc:"+digest, true, func(ctx context.Context) (*BenchmarkData, error) {
+	d, _, err := s.adhoc.Do(ctx, digest, func() (*BenchmarkData, error) {
 		return s.produceWorkload(ctx, name, s.scenarioCacheKey(name, digest), false,
 			func() (workload.Workload, error) { return sc.Workload(s.scale) })
 	})
+	return d, err
 }
 
 // EvaluateScenarioCellContext evaluates one policy on an ad-hoc

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"leakbound/internal/leakage"
@@ -189,18 +190,11 @@ func TestDataForScenarioAdhoc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.mu.Lock()
-	order, first := len(s.adhocOrder), 0
-	for key := range s.data {
-		if key == "adhoc:"+sc.Digest() {
-			first++
-		}
+	window := s.adhoc.Keys()
+	if len(window) != adhocDataCap {
+		t.Errorf("ad-hoc window holds %d entries, want %d", len(window), adhocDataCap)
 	}
-	s.mu.Unlock()
-	if order != adhocDataCap {
-		t.Errorf("adhocOrder holds %d entries, want %d", order, adhocDataCap)
-	}
-	if first != 0 {
+	if slices.Contains(window, sc.Digest()) {
 		t.Error("oldest ad-hoc entry not evicted")
 	}
 }

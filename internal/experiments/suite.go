@@ -27,11 +27,10 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
-	"sync"
 	"time"
 
 	"leakbound/internal/interval"
+	"leakbound/internal/memo"
 	"leakbound/internal/prefetch"
 	"leakbound/internal/sim/cache"
 	"leakbound/internal/sim/cpu"
@@ -104,22 +103,12 @@ type Suite struct {
 	scenarios   []Scenario
 	scenarioIdx map[string]Scenario
 
-	mu       sync.Mutex
-	data     map[string]*BenchmarkData
-	inflight map[string]*inflightSim
-	// adhocOrder tracks insertion order of ad-hoc scenario entries in data
-	// (keys carry the "adhoc:" prefix) for bounded LRU-ish eviction; see
-	// DataForScenarioContext.
-	adhocOrder []string
-	cacheDir   string // optional on-disk cache (see diskcache.go)
-}
-
-// inflightSim is the per-benchmark singleflight gate: the leader closes
-// done after publishing d/err, and waiters read them only after <-done.
-type inflightSim struct {
-	done chan struct{}
-	d    *BenchmarkData
-	err  error
+	// data holds the registered benchmarks by name, retaining all of
+	// them; adhoc holds the adhocDataCap most recently used ad-hoc
+	// scenarios by digest (see DataForScenarioContext). New builds both.
+	data     *memo.Group[string, *BenchmarkData]
+	adhoc    *memo.Group[string, *BenchmarkData]
+	cacheDir string // optional on-disk cache (see diskcache.go)
 }
 
 // DefaultScale is the workload scale used by the experiment binaries: the
@@ -142,66 +131,13 @@ func (s *Suite) Data(name string) (*BenchmarkData, error) {
 // share one simulation: the first caller (the leader) simulates while the
 // rest wait on its result — or on their own ctx, whichever finishes
 // first. If the leader fails, waiters retry rather than inheriting an
-// error that may belong to the leader's cancelled context.
+// error that may belong to the leader's cancelled context; if it panics,
+// every caller gets a *memo.PanicError and the next call simulates again.
 func (s *Suite) DataContext(ctx context.Context, name string) (*BenchmarkData, error) {
-	return s.dataByKey(ctx, name, false, func(ctx context.Context) (*BenchmarkData, error) {
+	d, _, err := s.data.Do(ctx, name, func() (*BenchmarkData, error) {
 		return s.produce(ctx, name)
 	})
-}
-
-// dataByKey is the shared singleflight core behind DataContext (key =
-// benchmark name) and DataForScenarioContext (key = "adhoc:" + digest;
-// benchmark names can never contain a colon, so the key spaces are
-// disjoint). adhoc entries are retained in a small bounded window rather
-// than forever — see adhocDataCap.
-func (s *Suite) dataByKey(ctx context.Context, key string, adhoc bool, produce func(context.Context) (*BenchmarkData, error)) (*BenchmarkData, error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		if d, ok := s.data[key]; ok {
-			s.mu.Unlock()
-			return d, nil
-		}
-		if c, ok := s.inflight[key]; ok {
-			s.mu.Unlock()
-			select {
-			case <-c.done:
-				if c.err == nil {
-					return c.d, nil
-				}
-				// Leader failed — maybe its own context was cancelled.
-				// Loop: a deterministic failure will fail again under this
-				// caller's leadership; a leader-only cancellation must not
-				// poison everyone else.
-				continue
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		c := &inflightSim{done: make(chan struct{})}
-		s.inflight[key] = c
-		s.mu.Unlock()
-
-		d, err := produce(ctx)
-		s.mu.Lock()
-		delete(s.inflight, key)
-		if err == nil {
-			if adhoc {
-				s.adhocOrder = append(s.adhocOrder, key)
-				if len(s.adhocOrder) > adhocDataCap {
-					delete(s.data, s.adhocOrder[0])
-					s.adhocOrder = s.adhocOrder[1:]
-				}
-			}
-			s.data[key] = d
-		}
-		s.mu.Unlock()
-		c.d, c.err = d, err
-		close(c.done)
-		return d, err
-	}
+	return d, err
 }
 
 // produce loads one benchmark from the disk cache or simulates it; called
@@ -435,16 +371,7 @@ func (s *Suite) MergedDistributionsContext(ctx context.Context) (iDist, dDist *i
 // SortedNames returns the benchmark names the suite has simulated so far;
 // primarily for diagnostics.
 func (s *Suite) SortedNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.data))
-	for n := range s.data {
-		// Ad-hoc scenario entries are keyed "adhoc:<digest>", not by
-		// benchmark name; they are a cache, not part of the suite's set.
-		if !strings.Contains(n, ":") {
-			names = append(names, n)
-		}
-	}
+	names := s.data.Keys()
 	sort.Strings(names)
 	return names
 }

@@ -3,19 +3,18 @@ package server
 // The result cache: every servable result is a deterministic function of
 // its canonicalized request parameters (the suite is fixed at startup and
 // simulation is bit-reproducible), so responses are cached whole — body,
-// content type, and ETag — under an LRU bound with hit/miss/eviction
-// telemetry. There is no TTL: entries are only ever displaced by the size
-// bound.
+// content type, and ETag — in a memo.Group that also coalesces concurrent
+// identical requests. There is no TTL: entries are only ever displaced by
+// the LRU bound.
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"net/url"
 	"sort"
 	"strings"
-	"sync"
 
+	"leakbound/internal/memo"
 	"leakbound/internal/telemetry"
 )
 
@@ -77,80 +76,29 @@ func canonicalKey(path string, query url.Values) string {
 	return b.String()
 }
 
-// cacheEntry is the LRU list payload.
-type cacheEntry struct {
-	key string
-	res *cachedResult
-}
-
-// resultCache is a mutex-guarded LRU over canonical keys. A max of zero
-// disables caching (every get misses, puts are dropped) — the coalescing
-// and admission layers still apply.
-type resultCache struct {
-	mu    sync.Mutex
-	max   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
-
-	hits      *telemetry.Counter
-	misses    *telemetry.Counter
-	evictions *telemetry.Counter
-	entries   *telemetry.Gauge
-}
-
-// newResultCache builds the cache and wires its telemetry into sc.
-func newResultCache(max int, sc *telemetry.Scope) *resultCache {
-	return &resultCache{
-		max:       max,
-		ll:        list.New(),
-		items:     make(map[string]*list.Element),
-		hits:      sc.Counter("cache/hits"),
-		misses:    sc.Counter("cache/misses"),
-		evictions: sc.Counter("cache/evictions"),
-		entries:   sc.Gauge("cache/entries"),
-	}
-}
-
-// get returns the cached result for key, refreshing its recency.
-func (c *resultCache) get(key string) (*cachedResult, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.items[key]
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.ll.MoveToFront(e)
-	c.hits.Add(1)
-	return e.Value.(*cacheEntry).res, true
-}
-
-// put inserts (or refreshes) key, evicting from the LRU tail past the
-// size bound.
-func (c *resultCache) put(key string, res *cachedResult) {
-	if c.max <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.items[key]; ok {
-		e.Value.(*cacheEntry).res = res
-		c.ll.MoveToFront(e)
-		return
-	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, res: res})
-	for c.ll.Len() > c.max {
-		tail := c.ll.Back()
-		c.ll.Remove(tail)
-		delete(c.items, tail.Value.(*cacheEntry).key)
-		c.evictions.Add(1)
-	}
-	c.entries.Set(int64(c.ll.Len()))
-}
-
-// len reports the current entry count (for tests).
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
+// newResults builds the server's memo: a keyed singleflight over
+// canonical keys in front of an LRU of at most max responses (max <= 0
+// keeps none; coalescing and admission still apply). Its events land in
+// the cache/* and coalesce/* telemetry.
+func newResults(max int, sc *telemetry.Scope) *memo.Group[string, *cachedResult] {
+	hits, misses := sc.Counter("cache/hits"), sc.Counter("cache/misses")
+	evictions, entries := sc.Counter("cache/evictions"), sc.Gauge("cache/entries")
+	leaders, waits := sc.Counter("coalesce/leader_runs"), sc.Counter("coalesce/coalesced_waits")
+	return memo.New[string, *cachedResult](max, func(e memo.Event) {
+		switch e {
+		case memo.Hit:
+			hits.Add(1)
+		case memo.Miss:
+			misses.Add(1)
+		case memo.Lead:
+			leaders.Add(1)
+		case memo.Wait:
+			waits.Add(1)
+		case memo.Store:
+			entries.Add(1)
+		case memo.Evict:
+			evictions.Add(1)
+			entries.Add(-1)
+		}
+	})
 }

@@ -1,15 +1,18 @@
 package server
 
 import (
+	"context"
+	"errors"
 	"net/url"
 	"testing"
 
+	"leakbound/internal/memo"
 	"leakbound/internal/telemetry"
 )
 
-func newTestCache(max int) (*resultCache, *telemetry.Registry) {
+func newTestCache(max int) (*memo.Group[string, *cachedResult], *telemetry.Registry) {
 	reg := telemetry.NewRegistry()
-	return newResultCache(max, reg.Scope("server")), reg
+	return newResults(max, reg.Scope("server")), reg
 }
 
 func TestCanonicalKeyOrderInsensitive(t *testing.T) {
@@ -60,23 +63,30 @@ func TestEtagMatch(t *testing.T) {
 
 func TestResultCacheLRUEviction(t *testing.T) {
 	c, reg := newTestCache(2)
-	r := func(s string) *cachedResult { return &cachedResult{body: []byte(s)} }
-	c.put("a", r("a"))
-	c.put("b", r("b"))
-	if _, ok := c.get("a"); !ok { // refresh a: now b is least recent
+	put := func(k, body string) {
+		t.Helper()
+		if _, how, err := c.Do(context.Background(), k, func() (*cachedResult, error) {
+			return &cachedResult{body: []byte(body)}, nil
+		}); err != nil || how != memo.Lead {
+			t.Fatalf("put %s: %v, %v", k, how, err)
+		}
+	}
+	put("a", "a")
+	put("b", "b")
+	if !cached(c, "a") { // refresh a: now b is least recent
 		t.Fatal("a missing before eviction")
 	}
-	c.put("c", r("c")) // evicts b
-	if _, ok := c.get("b"); ok {
+	put("c", "c") // evicts b
+	if cached(c, "b") {
 		t.Error("b survived past the LRU bound")
 	}
 	for _, k := range []string{"a", "c"} {
-		if _, ok := c.get(k); !ok {
+		if !cached(c, k) {
 			t.Errorf("%s evicted out of LRU order", k)
 		}
 	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
+	if n := len(c.Keys()); n != 2 {
+		t.Errorf("len = %d, want 2", n)
 	}
 	sc := reg.Scope("server")
 	if v := sc.Counter("cache/evictions").Value(); v != 1 {
@@ -85,26 +95,44 @@ func TestResultCacheLRUEviction(t *testing.T) {
 	if v := sc.Gauge("cache/entries").Value(); v != 2 {
 		t.Errorf("entries gauge = %d, want 2", v)
 	}
-	// Re-putting an existing key refreshes in place.
-	c.put("a", r("a2"))
-	if c.len() != 2 {
-		t.Errorf("len after refresh = %d, want 2", c.len())
+	if h, m := sc.Counter("cache/hits").Value(), sc.Counter("cache/misses").Value(); h != 3 || m != 4 {
+		t.Errorf("hits/misses = %d/%d, want 3/4", h, m)
 	}
-	if got, _ := c.get("a"); string(got.body) != "a2" {
-		t.Errorf("refresh did not replace the payload: %q", got.body)
+	// A hit serves the retained payload without computing.
+	got, how, err := c.Do(context.Background(), "a", func() (*cachedResult, error) {
+		return nil, errors.New("recomputed a retained key")
+	})
+	if err != nil || how != memo.Hit || string(got.body) != "a" {
+		t.Errorf("retained a = %v, %v, %v", got, how, err)
 	}
 }
 
+// cached reports whether key is retained in c; a miss runs a failing
+// compute, so probing never retains anything.
+func cached(c *memo.Group[string, *cachedResult], key string) bool {
+	_, how, _ := c.Do(context.Background(), key, func() (*cachedResult, error) {
+		return nil, errors.New("not cached")
+	})
+	return how == memo.Hit
+}
+
 func TestResultCacheDisabled(t *testing.T) {
-	c, reg := newTestCache(0)
-	c.put("a", &cachedResult{body: []byte("a")})
-	if _, ok := c.get("a"); ok {
-		t.Error("disabled cache returned a hit")
+	c, reg := newTestCache(-1)
+	for i := 0; i < 2; i++ {
+		if _, how, err := c.Do(context.Background(), "a", func() (*cachedResult, error) {
+			return &cachedResult{body: []byte("a")}, nil
+		}); err != nil || how != memo.Lead {
+			t.Errorf("request %d: %v, %v; want a fresh computation", i, how, err)
+		}
 	}
-	if c.len() != 0 {
-		t.Errorf("disabled cache holds %d entries", c.len())
+	if n := len(c.Keys()); n != 0 {
+		t.Errorf("disabled cache holds %d entries", n)
 	}
-	if v := reg.Scope("server").Counter("cache/misses").Value(); v != 1 {
-		t.Errorf("misses = %d, want 1", v)
+	sc := reg.Scope("server")
+	if v := sc.Counter("cache/misses").Value(); v != 2 {
+		t.Errorf("misses = %d, want 2", v)
+	}
+	if v := sc.Gauge("cache/entries").Value(); v != 0 {
+		t.Errorf("entries gauge = %d, want 0", v)
 	}
 }

@@ -5,12 +5,13 @@
 //
 // Every compute endpoint goes through the same pipeline:
 //
-//	result cache -> request coalescing -> admission control -> simulate
+//	result memo (LRU cache + request coalescing) -> admission control -> simulate
 //
-// The LRU result cache serves repeated queries without touching the
-// simulator (deterministic results, strong ETags, 304 on If-None-Match);
-// coalescing collapses N concurrent identical queries into one
-// computation; the weighted admission semaphore — sized off the suite's
+// The result memo, one internal/memo.Group, serves repeated queries
+// without touching the simulator (deterministic results, strong ETags, 304
+// on If-None-Match) and collapses N concurrent identical queries into one
+// computation; a panicking computation becomes a 500, never a wedged key.
+// The weighted admission semaphore — sized off the suite's
 // WithWorkers bound — keeps the simulator from oversubscribing the
 // machine, with bounded queueing and honest 429/503 + Retry-After
 // responses past the bound. Each request's context is tied to its client
@@ -41,6 +42,7 @@ import (
 	"time"
 
 	"leakbound/internal/experiments"
+	"leakbound/internal/memo"
 	"leakbound/internal/telemetry"
 )
 
@@ -91,8 +93,7 @@ type Server struct {
 	reg      *telemetry.Registry
 	scope    *telemetry.Scope
 	mux      *http.ServeMux
-	cache    *resultCache
-	flights  *flightGroup
+	results  *memo.Group[string, *cachedResult]
 	sem      *admission
 	logger   *log.Logger
 	draining atomic.Bool
@@ -135,8 +136,7 @@ func New(cfg Config) (*Server, error) {
 		reg:        cfg.Registry,
 		scope:      sc,
 		mux:        http.NewServeMux(),
-		cache:      newResultCache(cfg.CacheEntries, sc),
-		flights:    newFlightGroup(sc),
+		results:    newResults(cfg.CacheEntries, sc),
 		sem:        newAdmission(int64(cfg.Workers), cfg.QueueDepth, cfg.QueueWait, sc),
 		base:       base,
 		baseCancel: cancel,
@@ -215,7 +215,7 @@ func (s *Server) handleCompute(pattern, route string, weight int64, fn computeFn
 // input into the cache key and the JSON decoder.
 const maxBodyBytes = 1 << 20
 
-// computeHandler runs the cache -> coalesce -> admit -> compute pipeline.
+// computeHandler runs the memo -> admit -> compute pipeline.
 // POST bodies are buffered up front (capped at maxBodyBytes) so the body
 // digest joins the cache key — two POSTs with equal path, query, and body
 // coalesce and share one cache entry, and the compute fn re-reads the
@@ -239,10 +239,6 @@ func (s *Server) computeHandler(weight int64, fn computeFn) http.Handler {
 			}
 			r.Body = io.NopCloser(bytes.NewReader(body))
 		}
-		if res, ok := s.cache.get(key); ok {
-			s.writeResult(w, r, res, true)
-			return
-		}
 		// The compute context: the client's connection context (which the
 		// net/http server cancels on disconnect), additionally cancelled
 		// when the server's lifetime ends mid-drain, optionally deadlined.
@@ -255,7 +251,7 @@ func (s *Server) computeHandler(weight int64, fn computeFn) http.Handler {
 			ctx, tcancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
 			defer tcancel()
 		}
-		res, err := s.flights.Do(ctx, key, func() (*cachedResult, error) {
+		res, how, err := s.results.Do(ctx, key, func() (*cachedResult, error) {
 			if err := s.sem.Acquire(ctx, weight); err != nil {
 				return nil, err
 			}
@@ -264,15 +260,13 @@ func (s *Server) computeHandler(weight int64, fn computeFn) http.Handler {
 			if err != nil {
 				return nil, err
 			}
-			res := &cachedResult{body: body, contentType: contentType, etag: etagFor(body)}
-			s.cache.put(key, res)
-			return res, nil
+			return &cachedResult{body: body, contentType: contentType, etag: etagFor(body)}, nil
 		})
 		if err != nil {
 			s.writeError(w, r, err)
 			return
 		}
-		s.writeResult(w, r, res, false)
+		s.writeResult(w, r, res, how == memo.Hit)
 	})
 }
 

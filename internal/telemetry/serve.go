@@ -21,6 +21,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sync"
+	"time"
 )
 
 var publishOnce sync.Once
@@ -77,7 +78,13 @@ func ServeDebug(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("telemetry: metrics server: %w", err)
 	}
-	srv := &http.Server{Handler: DebugMux()}
+	srv := debugServer()
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), nil
+}
+
+// debugServer builds the standalone debug server, with the serving
+// daemon's header timeout so a slow client cannot pin a connection.
+func debugServer() *http.Server {
+	return &http.Server{Handler: DebugMux(), ReadHeaderTimeout: 10 * time.Second}
 }

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestRegisterDebugInRoutes pins the status codes and content types of the
@@ -113,5 +114,14 @@ func TestDebugMuxServesDefaultRegistry(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	if !strings.Contains(string(body), name) {
 		t.Errorf("DebugMux /metrics missing %q", name)
+	}
+}
+
+// TestDebugServerReadHeaderTimeout pins the standalone debug server's
+// header timeout to the serving daemon's 10 s, so a slow-header client
+// cannot hold its connections open indefinitely.
+func TestDebugServerReadHeaderTimeout(t *testing.T) {
+	if got := debugServer().ReadHeaderTimeout; got != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", got)
 	}
 }
