@@ -15,9 +15,9 @@ race:
 	$(GO) test -race ./...
 
 # gofmt -l lists unformatted files; any output fails the target.
-# leakbound-lint is the repo's own multichecker (determinism, ctxflow,
-# errwrap, telemetryscope, locks, plus the interprocedural hotalloc,
-# detflow, ctxpair); `go run` needs no install step. -timing prints the
+# leakbound-lint is the repo's own multichecker (errwrap, telemetryscope,
+# locks, plus the interprocedural determinism, hotalloc, ctxpair); `go
+# run` needs no install step. -timing prints the
 # per-analyzer wall time so a slow summary pass is visible immediately.
 # staticcheck runs when installed (CI installs the pinned 2024.1.1; offline
 # dev boxes may not have it, and must not fail for lack of a network).
@@ -86,9 +86,9 @@ smoke:
 
 # Replay the seed corpus of every fuzz target as plain tests (no fuzzing
 # time budget needed) — the regression net for the trace codec, the query
-# parser, and the workload-spec parser.
+# parser, the disk-cache distribution codec, and the workload-spec parser.
 fuzz-regress:
-	$(GO) test -run=Fuzz ./internal/sim/trace/ ./internal/experiments/ ./internal/leakage/ ./internal/workload/spec/
+	$(GO) test -run=Fuzz ./internal/sim/trace/ ./internal/experiments/ ./internal/leakage/ ./internal/interval/ ./internal/workload/spec/
 
 # Validate every committed example workload spec (parse + strict
 # validation + digest) via the tracegen -check path CI and users share.

@@ -1,14 +1,16 @@
-// Command leakbound-lint is the repo's multichecker: it runs the eight
+// Command leakbound-lint is the repo's multichecker: it runs the six
 // leakbound analyzers over the requested packages and exits nonzero if
 // any diagnostic survives directive filtering. `make lint` runs it as
 // `go run ./cmd/leakbound-lint ./...` alongside go vet, gofmt, and
 // staticcheck, so the determinism/context/telemetry invariants the
 // paper's oracle argument rests on are machine-checked on every push.
 //
-// Five analyzers work a package at a time (ctxflow, determinism,
-// errwrap, locks, telemetryscope); three are interprocedural and see the
-// whole load at once (hotalloc, detflow, ctxpair), chasing facts through
-// the call graph bottom-up.
+// Three analyzers work a package at a time (errwrap, locks,
+// telemetryscope); three are interprocedural and see the whole load at
+// once (ctxpair, determinism, hotalloc), chasing facts through the call
+// graph bottom-up. determinism and ctxpair also answer to the retired
+// names detflow and ctxflow (their checks were folded in): -only accepts
+// those names, -list shows them, and directives naming them still apply.
 //
 // A diagnostic is suppressed by a directive comment on the same line or
 // the line above:
@@ -32,10 +34,8 @@ import (
 	"time"
 
 	"leakbound/internal/analysis"
-	"leakbound/internal/analysis/ctxflow"
 	"leakbound/internal/analysis/ctxpair"
 	"leakbound/internal/analysis/determinism"
-	"leakbound/internal/analysis/detflow"
 	"leakbound/internal/analysis/errwrap"
 	"leakbound/internal/analysis/hotalloc"
 	"leakbound/internal/analysis/locks"
@@ -44,10 +44,8 @@ import (
 
 // analyzers is the full suite in presentation order.
 var analyzers = []*analysis.Analyzer{
-	ctxflow.Analyzer,
 	ctxpair.Analyzer,
 	determinism.Analyzer,
-	detflow.Analyzer,
 	errwrap.Analyzer,
 	hotalloc.Analyzer,
 	locks.Analyzer,
@@ -71,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "usage: leakbound-lint [flags] [packages]\n\n")
 		fmt.Fprintf(stderr, "Runs the leakbound analyzer suite (defaults to ./...):\n\n")
 		for _, a := range analyzers {
-			fmt.Fprintf(stderr, "  %-15s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stderr, "  %s\n", describe(a))
 		}
 		fmt.Fprintf(stderr, "\nFlags:\n")
 		fs.PrintDefaults()
@@ -81,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *list {
 		for _, a := range analyzers {
-			fmt.Fprintf(stdout, "%-15s %s\n", a.Name, a.Doc)
+			fmt.Fprintln(stdout, describe(a))
 		}
 		return 0
 	}
@@ -147,7 +145,18 @@ func writeSARIFFile(path string, selected []*analysis.Analyzer, findings []analy
 	return f.Close()
 }
 
-// selectAnalyzers resolves the -only flag against the suite; unknown
+// describe renders one analyzer for -list and -h: name, doc, and the
+// retired names it still answers to.
+func describe(a *analysis.Analyzer) string {
+	line := fmt.Sprintf("%-15s %s", a.Name, a.Doc)
+	if len(a.Aliases) > 0 {
+		line += " (alias: " + strings.Join(a.Aliases, ", ") + ")"
+	}
+	return line
+}
+
+// selectAnalyzers resolves the -only flag against the suite, accepting
+// retired names as aliases and selecting each analyzer once; unknown
 // names are a usage error listing the registry, mirroring the
 // ErrUnknownScheme style in internal/leakage.
 func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
@@ -159,14 +168,21 @@ func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
 	for _, a := range analyzers {
 		byName[a.Name] = a
 		known = append(known, a.Name)
+		for _, alias := range a.Aliases {
+			byName[alias] = a
+		}
 	}
 	var selected []*analysis.Analyzer
+	seen := make(map[*analysis.Analyzer]bool)
 	for _, name := range splitComma(only) {
 		a, ok := byName[name]
 		if !ok {
 			return nil, fmt.Errorf("leakbound-lint: unknown analyzer %q (known: %s)", name, strings.Join(known, ", "))
 		}
-		selected = append(selected, a)
+		if !seen[a] {
+			seen[a] = true
+			selected = append(selected, a)
+		}
 	}
 	return selected, nil
 }

@@ -34,6 +34,10 @@ func TestSelectAnalyzers(t *testing.T) {
 	if err != nil || len(sel) != 2 || sel[0].Name != "errwrap" || sel[1].Name != "locks" {
 		t.Errorf("selectAnalyzers(errwrap,locks) = %v, %v", sel, err)
 	}
+	sel, err = selectAnalyzers("detflow,ctxflow,determinism")
+	if err != nil || len(sel) != 2 || sel[0].Name != "determinism" || sel[1].Name != "ctxpair" {
+		t.Errorf("selectAnalyzers(detflow,ctxflow,determinism) = %v, %v; want determinism and ctxpair once each via their aliases", sel, err)
+	}
 	if sel, err := selectAnalyzers(""); err != nil || len(sel) != len(analyzers) {
 		t.Errorf("selectAnalyzers(\"\") = %d analyzers, %v; want the full suite", len(sel), err)
 	}

@@ -4,7 +4,7 @@
 // standard library's gc importer, and a runner that understands
 // `//lint:ignore` suppression directives.
 //
-// The repo's invariants are enforced by five analyzers built on this
+// The repo's invariants are enforced by six analyzers built on this
 // package (see the subdirectories); cmd/leakbound-lint is the
 // multichecker that runs them all. The framework deliberately mirrors the
 // upstream API (an analyzer is a value with Name, Doc, and a Run function
@@ -28,12 +28,29 @@ import (
 // RunProgram is the interprocedural shape: it is invoked once with every
 // loaded package, so the analyzer can build a call graph and propagate
 // facts across package boundaries (see the callgraph and summary
-// subpackages).
+// subpackages). Aliases are retired analyzer names whose checks were
+// folded into this one: directives naming an alias still suppress its
+// findings, and the multichecker's -only accepts them.
 type Analyzer struct {
 	Name       string
 	Doc        string
+	Aliases    []string
 	Run        func(*Pass) (interface{}, error)
 	RunProgram func(*ProgramPass) error
+}
+
+// answers reports whether name refers to the analyzer: its own name or
+// one of its aliases.
+func (a *Analyzer) answers(name string) bool {
+	if name == a.Name {
+		return true
+	}
+	for _, alias := range a.Aliases {
+		if name == alias {
+			return true
+		}
+	}
+	return false
 }
 
 // Pass presents one package to an analyzer: its syntax trees, its

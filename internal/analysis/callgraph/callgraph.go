@@ -12,7 +12,7 @@
 // points-to analysis, so interface and function-value calls have no
 // callee edge. Interprocedural analyzers treat those sites as opaque —
 // hotalloc reports them on hot paths (devirtualization is part of the
-// hot-path contract), detflow documents them as a soundness caveat.
+// hot-path contract), determinism documents them as a soundness caveat.
 package callgraph
 
 import (
@@ -226,45 +226,41 @@ func (g *Graph) walkBody(n *Node) {
 	body := n.Body()
 	info := n.Pkg.TypesInfo
 
-	// Pass A: create nodes for directly nested literals (their own nested
-	// literals are handled by the recursive walk).
-	ast.Inspect(body, func(x ast.Node) bool {
-		lit, ok := x.(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		pos := n.Pkg.Fset.Position(lit.Pos())
-		child := &Node{
-			Key:    fmt.Sprintf("%s.$lit@%s:%d:%d", n.Pkg.PkgPath, pos.Filename, pos.Line, pos.Column),
-			Lit:    lit,
-			Parent: n,
-			Pkg:    n.Pkg,
-		}
-		g.Nodes = append(g.Nodes, child)
-		g.byKey[child.Key] = child
-		g.byLit[lit] = child
-		g.walkBody(child)
-		return false
-	})
-
-	// Pass B: the set of expressions in call-operator position (so uses of
-	// functions as values can be told apart from calls) and of selector Sel
-	// identifiers (handled via their SelectorExpr, not as bare idents).
+	// Pass A, in one walk: create (and recursively walk) nodes for the
+	// directly nested literals, record the expressions in call-operator
+	// position (so uses of functions as values can be told apart from
+	// calls) and the selector Sel identifiers (handled via their
+	// SelectorExpr, not as bare idents), and collect the loop spans.
 	funPos := make(map[ast.Node]bool)
 	selSel := make(map[*ast.Ident]bool)
-	inspectOwn(body, func(x ast.Node) {
+	var loops spanSet
+	analysis.InspectOwn(body, func(x ast.Node) {
 		switch x := x.(type) {
+		case *ast.FuncLit:
+			pos := n.Pkg.Fset.Position(x.Pos())
+			child := &Node{
+				Key:    fmt.Sprintf("%s.$lit@%s:%d:%d", n.Pkg.PkgPath, pos.Filename, pos.Line, pos.Column),
+				Lit:    x,
+				Parent: n,
+				Pkg:    n.Pkg,
+			}
+			g.Nodes = append(g.Nodes, child)
+			g.byKey[child.Key] = child
+			g.byLit[x] = child
+			g.walkBody(child)
 		case *ast.CallExpr:
 			funPos[ast.Unparen(x.Fun)] = true
 		case *ast.SelectorExpr:
 			selSel[x.Sel] = true
+		case *ast.ForStmt:
+			loops = append(loops, span{x.Pos(), x.End()})
+		case *ast.RangeStmt:
+			loops = append(loops, span{x.Pos(), x.End()})
 		}
 	})
 
-	loops := loopSpans(body)
-
-	// Pass C: classify calls and refs.
-	inspectOwn(body, func(x ast.Node) {
+	// Pass B: classify calls and refs.
+	analysis.InspectOwn(body, func(x ast.Node) {
 		switch x := x.(type) {
 		case *ast.CallExpr:
 			if c, ok := g.classifyCall(info, x); ok {
@@ -380,19 +376,6 @@ func identOf(e ast.Expr) *ast.Ident {
 	return nil
 }
 
-// inspectOwn walks root without descending into nested function literals
-// (the literal node itself is still visited).
-func inspectOwn(root *ast.BlockStmt, visit func(ast.Node)) {
-	ast.Inspect(root, func(x ast.Node) bool {
-		if x == nil {
-			return false
-		}
-		visit(x)
-		_, isLit := x.(*ast.FuncLit)
-		return !isLit
-	})
-}
-
 // spanSet records source ranges of for/range statements for InLoop
 // classification. The whole statement is treated as in-loop — the loop
 // condition and post statement re-execute every iteration, and an
@@ -408,22 +391,4 @@ func (s spanSet) contains(p token.Pos) bool {
 		}
 	}
 	return false
-}
-
-// loopSpans collects the for/range spans of body, excluding nested
-// function literals.
-func loopSpans(body *ast.BlockStmt) spanSet {
-	var spans spanSet
-	ast.Inspect(body, func(x ast.Node) bool {
-		switch x := x.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ForStmt:
-			spans = append(spans, span{x.Pos(), x.End()})
-		case *ast.RangeStmt:
-			spans = append(spans, span{x.Pos(), x.End()})
-		}
-		return true
-	})
-	return spans
 }

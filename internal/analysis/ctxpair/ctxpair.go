@@ -1,5 +1,5 @@
-// Package ctxpair guards the two sibling contracts that keep the public
-// API surface honest:
+// Package ctxpair guards the context discipline and the sibling
+// contracts that keep the public API surface honest:
 //
 // Context pairs. Every Foo with a FooContext sibling (same package, same
 // receiver) exists only for call-site convenience; its body must be the
@@ -9,6 +9,15 @@
 //
 // (context.TODO() also accepted). Anything else is a drifted duplicate —
 // two bodies that started identical and will not stay that way.
+//
+// Context flow. Once a caller holds a ctx it must stay on the ...Context
+// spine: an exported ctx-accepting function that calls Foo while a
+// FooContext sibling exists silently severs cancellation for a whole
+// subtree. And library code never mints its own background context —
+// context.Background/TODO in an internal non-main package is a finding
+// unless the function's body is its own sibling delegation above. (The
+// loader reads only non-test sources, so tests are exempt by
+// construction.)
 //
 // Registry factories. Every leakage.Registration.Factory must construct
 // policies that are actually reachable from the aggregate fast path: the
@@ -39,7 +48,8 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name:       "ctxpair",
-	Doc:        "require Foo/FooContext delegation and statically-dispatchable registry factories",
+	Aliases:    []string{"ctxflow"},
+	Doc:        "require Foo/FooContext delegation, no dropped or library-minted contexts, and statically-dispatchable registry factories",
 	RunProgram: run,
 }
 
@@ -52,35 +62,98 @@ func run(pass *analysis.ProgramPass) error {
 	return nil
 }
 
-// checkPairs enforces the delegation contract within one package.
+// checkPairs enforces the delegation contract and the context flow rules
+// within one package.
 func checkPairs(pass *analysis.ProgramPass, pkg *analysis.Package) {
 	type key struct{ recv, name string }
-	decls := make(map[key]*ast.FuncDecl)
+	type decl struct {
+		key
+		fd *ast.FuncDecl
+	}
+	var fds []decl
+	byKey := make(map[key]*ast.FuncDecl)
 	for _, f := range pkg.Syntax {
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				decls[key{recvTypeName(pkg, fd), fd.Name.Name}] = fd
+				k := key{recvTypeName(pkg, fd), fd.Name.Name}
+				fds = append(fds, decl{k, fd})
+				byKey[k] = fd
 			}
 		}
 	}
-	for k, fd := range decls {
-		if strings.HasSuffix(k.name, "Context") {
-			continue
+	library := strings.Contains(pkg.PkgPath, "internal/") && pkg.Name != "main"
+	for _, d := range fds {
+		delegating := false
+		if sibling, ok := byKey[key{d.recv, d.name + "Context"}]; ok && !strings.HasSuffix(d.name, "Context") {
+			if sibFn, _ := pkg.TypesInfo.Defs[sibling.Name].(*types.Func); sibFn != nil {
+				delegating = delegates(pkg.TypesInfo, d.fd, sibFn)
+				if !delegating {
+					pass.Reportf(d.fd.Pos(), nil,
+						"%s has a %s sibling but does not delegate to it: the body must be exactly `return %s(context.Background(), ...)` so the pair cannot drift",
+						d.name, d.name+"Context", d.name+"Context")
+				}
+			}
 		}
-		sibling, ok := decls[key{k.recv, k.name + "Context"}]
-		if !ok {
-			continue
+		if library && !delegating {
+			checkBackground(pass, pkg.TypesInfo, d.fd)
 		}
-		sibFn, _ := pkg.TypesInfo.Defs[sibling.Name].(*types.Func)
-		if sibFn == nil {
-			continue
-		}
-		if !delegates(pkg.TypesInfo, fd, sibFn) {
-			pass.Reportf(fd.Pos(), nil,
-				"%s has a %s sibling but does not delegate to it: the body must be exactly `return %s(context.Background(), ...)` so the pair cannot drift",
-				k.name, k.name+"Context", k.name+"Context")
-		}
+		checkDroppedContext(pass, pkg.TypesInfo, d.fd)
 	}
+}
+
+// checkBackground flags every context.Background/TODO call in fd.
+func checkBackground(pass *analysis.ProgramPass, info *types.Info, fd *ast.FuncDecl) {
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			fn := analysis.CalleeFunc(info, call)
+			if analysis.IsPkgFunc(fn, "context", "Background") || analysis.IsPkgFunc(fn, "context", "TODO") {
+				pass.Reportf(call.Pos(), nil, "context.%s in library package: accept a ctx from the caller", fn.Name())
+			}
+		}
+		return true
+	})
+}
+
+// checkDroppedContext flags calls inside an exported context-accepting
+// function that invoke the non-context variant of an API that has a
+// ...Context sibling.
+func checkDroppedContext(pass *analysis.ProgramPass, info *types.Info, fd *ast.FuncDecl) {
+	obj, ok := info.Defs[fd.Name].(*types.Func)
+	if !ok || !fd.Name.IsExported() || !analysis.HasContextParam(obj.Type().(*types.Signature)) {
+		return
+	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		callee := analysis.CalleeFunc(info, call)
+		if callee == nil || strings.HasSuffix(callee.Name(), "Context") || analysis.HasContextParam(callee.Type().(*types.Signature)) {
+			return true
+		}
+		if sib := contextSibling(callee); sib != nil {
+			pass.Reportf(call.Pos(), nil, "calls %s while holding a ctx; %s accepts it", callee.Name(), sib.Name())
+		}
+		return true
+	})
+}
+
+// contextSibling returns the ...Context variant of fn — a function of the
+// same package (or method of the same receiver type) named fn+"Context"
+// whose first parameter is a context.Context — or nil.
+func contextSibling(fn *types.Func) *types.Func {
+	sibName := fn.Name() + "Context"
+	var obj types.Object
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		obj, _, _ = types.LookupFieldOrMethod(recv.Type(), true, fn.Pkg(), sibName)
+	} else if fn.Pkg() != nil {
+		obj = fn.Pkg().Scope().Lookup(sibName)
+	}
+	sib, ok := obj.(*types.Func)
+	if !ok || !analysis.HasContextParam(sib.Type().(*types.Signature)) {
+		return nil
+	}
+	return sib
 }
 
 // delegates reports whether fd's body is the sanctioned single-statement
@@ -172,7 +245,7 @@ func checkFactoryReturns(pass *analysis.ProgramPass, info *types.Info, leak *typ
 	closedForm := ifaceLookup(leak, "ClosedForm")
 	missClosed := ifaceLookup(leak, "MissClosedForm")
 	missModel := ifaceLookup(leak, "MissModel")
-	inspectOwn(body, func(x ast.Node) {
+	analysis.InspectOwn(body, func(x ast.Node) {
 		ret, ok := x.(*ast.ReturnStmt)
 		if !ok || len(ret.Results) == 0 {
 			return
@@ -288,16 +361,4 @@ func implementsViaPointer(t types.Type, iface *types.Interface) bool {
 
 func relType(t types.Type) string {
 	return types.TypeString(t, func(p *types.Package) string { return p.Name() })
-}
-
-// inspectOwn walks root without descending into nested function literals.
-func inspectOwn(root *ast.BlockStmt, visit func(ast.Node)) {
-	ast.Inspect(root, func(x ast.Node) bool {
-		if x == nil {
-			return false
-		}
-		visit(x)
-		_, isLit := x.(*ast.FuncLit)
-		return !isLit
-	})
 }

@@ -9,6 +9,8 @@ import (
 
 func TestCtxpair(t *testing.T) {
 	analysistest.Run(t, "testdata", ctxpair.Analyzer,
+		"example.com/internal/flow",
+		"example.com/internal/tool",
 		"example.com/pairs",
 		"example.com/schemes",
 	)

@@ -11,5 +11,6 @@ func TestDeterminism(t *testing.T) {
 	analysistest.Run(t, "testdata", determinism.Analyzer,
 		"example.com/internal/leakage",
 		"example.com/internal/other",
+		"example.com/store",
 	)
 }

@@ -11,6 +11,10 @@ import (
 	"time"
 )
 
+// started is a package-level initialiser: it belongs to no function, yet
+// it is result-package code all the same.
+var started = time.Now() // want `time.Now in result-producing package`
+
 // Clock reads the wall clock in the result path.
 func Clock() int64 {
 	t := time.Now() // want `time.Now in result-producing package`

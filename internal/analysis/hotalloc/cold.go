@@ -28,7 +28,7 @@ func (s spanSet) contains(p token.Pos) bool {
 // steady-state.
 func nodeLoops(n *callgraph.Node) spanSet {
 	var spans spanSet
-	inspectOwn(n.Body(), func(x ast.Node) {
+	analysis.InspectOwn(n.Body(), func(x ast.Node) {
 		switch x := x.(type) {
 		case *ast.ForStmt:
 			spans = append(spans, span{x.Pos(), x.End()})
@@ -58,7 +58,7 @@ func nodeLoops(n *callgraph.Node) spanSet {
 func coldSpans(n *callgraph.Node) spanSet {
 	info := n.Pkg.TypesInfo
 	var spans spanSet
-	inspectOwn(n.Body(), func(x ast.Node) {
+	analysis.InspectOwn(n.Body(), func(x ast.Node) {
 		switch x := x.(type) {
 		case *ast.ReturnStmt:
 			if returnsConstructedError(info, x) {
@@ -148,16 +148,4 @@ func isPanic(info *types.Info, call *ast.CallExpr) bool {
 	}
 	b, ok := info.Uses[id].(*types.Builtin)
 	return ok && b.Name() == "panic"
-}
-
-// inspectOwn walks root without descending into nested function literals.
-func inspectOwn(root *ast.BlockStmt, visit func(ast.Node)) {
-	ast.Inspect(root, func(x ast.Node) bool {
-		if x == nil {
-			return false
-		}
-		visit(x)
-		_, isLit := x.(*ast.FuncLit)
-		return !isLit
-	})
 }

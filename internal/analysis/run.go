@@ -49,17 +49,17 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []Timing, erro
 	}
 	// A diagnostic survives only if no directive covers its own position
 	// or any call-site position on its chain.
-	keep := func(name string, fset *token.FileSet, d Diagnostic) (Finding, bool) {
+	keep := func(a *Analyzer, fset *token.FileSet, d Diagnostic) (Finding, bool) {
 		pos := fset.Position(d.Pos)
-		if dirs.suppresses(name, pos) {
+		if dirs.suppresses(a, pos) {
 			return Finding{}, false
 		}
 		for _, cp := range d.Chain {
-			if dirs.suppresses(name, fset.Position(cp)) {
+			if dirs.suppresses(a, fset.Position(cp)) {
 				return Finding{}, false
 			}
 		}
-		return Finding{Analyzer: name, Pos: pos, Message: d.Message}, true
+		return Finding{Analyzer: a.Name, Pos: pos, Message: d.Message}, true
 	}
 	elapsed := make(map[string]time.Duration, len(analyzers))
 	for _, a := range analyzers {
@@ -75,7 +75,7 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []Timing, erro
 				Packages: pkgs,
 			}
 			pass.Report = func(d Diagnostic) {
-				if f, ok := keep(a.Name, pass.Fset, d); ok {
+				if f, ok := keep(a, pass.Fset, d); ok {
 					findings = append(findings, f)
 				}
 			}
@@ -92,7 +92,7 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []Timing, erro
 					TypesInfo: pkg.TypesInfo,
 				}
 				pass.Report = func(d Diagnostic) {
-					if f, ok := keep(a.Name, pkg.Fset, d); ok {
+					if f, ok := keep(a, pkg.Fset, d); ok {
 						findings = append(findings, f)
 					}
 				}
@@ -131,20 +131,20 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []Timing, erro
 // line and on the line immediately below it (so it works both as an
 // end-of-line comment and as a comment above the offending statement).
 // The reason is mandatory: suppressions without a recorded justification
-// are treated as findings.
+// are treated as findings. An analyzer's aliases match as its name does.
 const directivePrefix = "//lint:ignore "
 
 // directiveSet indexes suppressions by file and line.
 type directiveSet map[string]map[int][]string // file -> line -> analyzer names
 
-func (d directiveSet) suppresses(analyzer string, pos token.Position) bool {
+func (d directiveSet) suppresses(a *Analyzer, pos token.Position) bool {
 	lines := d[pos.Filename]
 	if lines == nil {
 		return false
 	}
 	for _, line := range []int{pos.Line, pos.Line - 1} {
 		for _, name := range lines[line] {
-			if name == analyzer || name == "all" {
+			if name == "all" || a.answers(name) {
 				return true
 			}
 		}
@@ -154,8 +154,8 @@ func (d directiveSet) suppresses(analyzer string, pos token.Position) bool {
 
 // DirectiveIndex is a read-only view of the //lint:ignore directives in a
 // set of packages, for analyzers that need to know whether a site has
-// already been human-sanctioned (detflow treats a time.Now carrying a
-// determinism suppression as a reviewed non-source rather than re-raising
+// already been human-sanctioned (determinism treats a time.Now carrying
+// one of its suppressions as a reviewed non-source rather than re-raising
 // it through every caller).
 type DirectiveIndex struct {
 	set directiveSet
@@ -171,10 +171,10 @@ func Directives(pkgs ...*Package) DirectiveIndex {
 	return DirectiveIndex{set: set}
 }
 
-// Covers reports whether a directive naming the analyzer (or "all")
-// suppresses findings at pos.
-func (ix DirectiveIndex) Covers(analyzer string, pos token.Position) bool {
-	return ix.set.suppresses(analyzer, pos)
+// Covers reports whether a directive naming the analyzer, one of its
+// aliases, or "all" suppresses findings at pos.
+func (ix DirectiveIndex) Covers(a *Analyzer, pos token.Position) bool {
+	return ix.set.suppresses(a, pos)
 }
 
 // collectDirectives scans a package's comments for lint:ignore directives,

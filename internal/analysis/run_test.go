@@ -70,6 +70,27 @@ func Wildcard() {}
 	}
 }
 
+func TestRunDirectiveAlias(t *testing.T) {
+	pkg := loadSource(t, `package fixture
+
+func Flagged() {}
+
+//lint:ignore oldname a retired name still suppresses the analyzer it was folded into
+func ByAlias() {}
+
+//lint:ignore othercheck,oldname an alias inside a list works too
+func ByList() {}
+`)
+	renamed := &Analyzer{Name: "newname", Doc: funcFlagger.Doc, Aliases: []string{"oldname"}, Run: funcFlagger.Run}
+	findings, err := Run([]*Package{pkg}, []*Analyzer{renamed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 || findings[0].Message != "function Flagged" || findings[0].Analyzer != "newname" {
+		t.Errorf("findings = %v, want only Flagged, reported under the analyzer's own name", findings)
+	}
+}
+
 func TestRunMalformedDirective(t *testing.T) {
 	pkg := loadSource(t, `package fixture
 

@@ -66,33 +66,16 @@ func HasContextParam(sig *types.Signature) bool {
 	return sig != nil && sig.Params().Len() > 0 && IsContextType(sig.Params().At(0).Type())
 }
 
-// InspectFuncs walks every function declaration and function literal in
-// the file, calling fn with the enclosing declaration's name ("" for
-// literals outside a declaration) and the body.
-func InspectFuncs(f *ast.File, fn func(name string, decl *ast.FuncDecl, body *ast.BlockStmt)) {
-	for _, d := range f.Decls {
-		decl, ok := d.(*ast.FuncDecl)
-		if !ok || decl.Body == nil {
-			continue
-		}
-		fn(decl.Name.Name, decl, decl.Body)
-	}
-}
-
-// ContainsReturn reports whether the statement contains a return or a
-// branching statement (break/continue/goto) anywhere outside nested
-// function literals — the test the locks analyzer uses for "does control
-// possibly leave this span".
-func ContainsReturn(n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch n.(type) {
-		case *ast.FuncLit:
+// InspectOwn walks root without descending into nested function
+// literals (the literal node itself is still visited) — the view of a
+// body that a call-graph node owns.
+func InspectOwn(root ast.Node, visit func(ast.Node)) {
+	ast.Inspect(root, func(x ast.Node) bool {
+		if x == nil {
 			return false
-		case *ast.ReturnStmt, *ast.BranchStmt:
-			found = true
 		}
-		return !found
+		visit(x)
+		_, isLit := x.(*ast.FuncLit)
+		return !isLit
 	})
-	return found
 }

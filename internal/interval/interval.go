@@ -24,7 +24,6 @@ import (
 	"sort"
 	"strconv"
 
-	"leakbound/internal/sim/stream"
 	"leakbound/internal/sim/trace"
 	"leakbound/internal/telemetry"
 )
@@ -459,36 +458,6 @@ func (c *Collector) Add(e trace.Event) error {
 		c.dirty[e.Frame] = e.Kind == trace.Store
 	case e.Kind == trace.Store:
 		c.dirty[e.Frame] = true
-	}
-	return nil
-}
-
-// AddBatch consumes one column batch from the streaming pipeline. It is
-// equivalent to calling Add for each event in batch order, but skips the
-// trace.Event materialization on the hot path. Events for other caches are
-// ignored, as in Add.
-func (c *Collector) AddBatch(b *stream.Batch) error {
-	if c.finished {
-		return fmt.Errorf("%w: Add after Finish", ErrFinished)
-	}
-	if c.classifier != nil && c.streamCl == nil {
-		// Classifier without a fused fast path: fall back to event form so
-		// Classify/Observe see exactly what Add would hand them.
-		for i, n := 0, b.Len(); i < n; i++ {
-			if err := c.Add(b.Event(i)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	n := b.Len()
-	for i := 0; i < n; i++ {
-		if b.Caches[i] != c.cache {
-			continue
-		}
-		if err := c.addCols(b.Cycles[i], b.LineAddrs[i], b.PCs[i], b.Frames[i], b.Kinds[i], b.Misses[i]); err != nil {
-			return err
-		}
 	}
 	return nil
 }

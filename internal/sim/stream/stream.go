@@ -83,12 +83,6 @@ func (b *Batch) Append(cycle, lineAddr, pc uint64, frame uint32, cache trace.Cac
 	b.Misses = append(b.Misses, miss)
 }
 
-// AppendEvent adds one trace.Event; for taps and tests (the hot producer
-// uses Append to keep the event out of a struct entirely).
-func (b *Batch) AppendEvent(e trace.Event) {
-	b.Append(e.Cycle, e.LineAddr, e.PC, e.Frame, e.Cache, e.Kind, e.Miss)
-}
-
 // Event reconstructs event i as a trace.Event; for taps (e.g. the
 // record/replay codec in cmd/tracegen) and tests, not the hot path.
 func (b *Batch) Event(i int) trace.Event {

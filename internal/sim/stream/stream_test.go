@@ -9,7 +9,7 @@ import (
 func TestBatchAppendAndEvent(t *testing.T) {
 	b := NewBatch(4)
 	e := trace.Event{Cycle: 10, LineAddr: 20, PC: 30, Frame: 40, Cache: trace.L1D, Kind: trace.Store, Miss: true}
-	b.AppendEvent(e)
+	b.Append(e.Cycle, e.LineAddr, e.PC, e.Frame, e.Cache, e.Kind, e.Miss)
 	b.Append(11, 21, 31, 41, trace.L2, trace.Load, false)
 	if b.Len() != 2 {
 		t.Fatalf("Len = %d", b.Len())
