@@ -83,13 +83,15 @@ type rosterEntry struct {
 
 // roster is the set of hot paths backed by committed benchmark gates:
 // the streaming simulator pass (BENCH r2), the aggregate evaluation
-// kernels (BENCH r3), and the zero-alloc replay pass (BENCH r4).
+// kernels and the Pareto miss fold (BENCH r3, r6), and the zero-alloc
+// replay pass (BENCH r4).
 var roster = []rosterEntry{
 	{pkg: "internal/sim/cpu", name: "RunStreamContext", tier: entryTier},
 	{pkg: "internal/interval", recv: "Collector", name: "AddCols", tier: entryTier},
 	{pkg: "internal/prefetch", recv: "Classifier", name: "ClassifyObserve", tier: fullTier},
 	{pkg: "internal/leakage", name: "EvaluateAggregate", tier: entryTier},
 	{pkg: "internal/leakage", name: "EvaluateMany", tier: entryTier},
+	{pkg: "internal/leakage", name: "InducedMissesAggregate", tier: entryTier},
 	{pkg: "internal/u64map", recv: "Pages", name: "Lookup", tier: fullTier},
 	{pkg: "internal/u64map", recv: "Pages", name: "Get", tier: fullTier},
 	{pkg: "internal/workload/spec", recv: "Replay", name: "Emit", tier: fullTier},

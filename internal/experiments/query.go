@@ -266,9 +266,13 @@ func resolveSweepPolicies(scheme, param string, tech power.Technology, values []
 	if _, ok := reg.Schema(param); !ok {
 		return nil, "", fmt.Errorf("%w: scheme %q has no parameter %q", ErrUnknownPolicy, scheme, param)
 	}
+	// One Params map serves the whole ladder: Registry.Build copies its
+	// input, so overwriting the single entry per value is safe.
 	pols := make([]leakage.Policy, len(values))
+	params := leakage.Params{param: values[0]}
 	for vi, v := range values {
-		pol, err := BuildPolicy(leakage.PolicySpec{Scheme: name, Params: leakage.Params{param: v}}, tech)
+		params[param] = v
+		pol, err := BuildPolicy(leakage.PolicySpec{Scheme: name, Params: params}, tech)
 		if err != nil {
 			return nil, "", err
 		}

@@ -64,9 +64,9 @@ func curveTestLengths(c Curve) []uint64 {
 			}
 		}
 	}
-	for _, cut := range c.Cuts {
-		add(cut)
-		add(math.Ceil(cut))
+	for i := 0; i < c.n-1; i++ {
+		add(c.p[i].end)
+		add(math.Ceil(c.p[i].end))
 	}
 	for _, l := range []uint64{1, 2, 3, 5, 6, 7, 36, 37, 38, 100, 1000, 1057, 5088, 10327, 10328, 10329, 103084, 1 << 20, 1 << 40} {
 		set[l] = true
@@ -114,15 +114,8 @@ func TestClosedFormsMatchReference(t *testing.T) {
 				if !ok {
 					t.Fatalf("%s: MissCurve !ok for flags %v", pol.Name(), flags)
 				}
-				if len(curve.Consts) != len(curve.Cuts)+1 || len(curve.Slopes) != len(curve.Consts) {
-					t.Fatalf("%s flags %v: ragged curve %d cuts / %d consts / %d slopes",
-						pol.Name(), flags, len(curve.Cuts), len(curve.Consts), len(curve.Slopes))
-				}
-				for i := 1; i < len(curve.Cuts); i++ {
-					if curve.Cuts[i] < curve.Cuts[i-1] {
-						t.Fatalf("%s flags %v: cuts not ascending: %v", pol.Name(), flags, curve.Cuts)
-					}
-				}
+				checkCurveShape(t, pol.Name(), flags, curve)
+				checkCurveShape(t, pol.Name(), flags, missCurve)
 				for _, L := range curveTestLengths(curve) {
 					want := pol.IntervalEnergy(tech, L, flags)
 					got := curve.Eval(float64(L))
@@ -141,6 +134,24 @@ func TestClosedFormsMatchReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// checkCurveShape pins a curve's structural invariants: a valid piece
+// count within the capacity, ascending piece ends, and an unbounded last
+// piece.
+func checkCurveShape(t *testing.T, name string, flags interval.Flags, c Curve) {
+	t.Helper()
+	if c.n < 1 || c.n > maxPieces {
+		t.Fatalf("%s flags %v: piece count %d outside [1, %d]", name, flags, c.n, maxPieces)
+	}
+	for i := 1; i < c.n; i++ {
+		if c.p[i].end < c.p[i-1].end {
+			t.Fatalf("%s flags %v: piece ends not ascending: %v", name, flags, c.p[:c.n])
+		}
+	}
+	if !math.IsInf(c.p[c.n-1].end, 1) {
+		t.Fatalf("%s flags %v: last piece ends at %g, want +Inf", name, flags, c.p[c.n-1].end)
 	}
 }
 

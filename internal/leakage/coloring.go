@@ -15,7 +15,6 @@ package leakage
 // lines start powered off regardless of the gating granularity.
 
 import (
-	"fmt"
 	"math"
 
 	"leakbound/internal/interval"
@@ -37,7 +36,7 @@ type Coloring struct {
 }
 
 // Name implements Policy.
-func (p Coloring) Name() string { return fmt.Sprintf("Coloring(%d)", p.Colors) }
+func (p Coloring) Name() string { return uintName("Coloring", p.Colors) }
 
 // regionTheta is the minimum interval length the region-gating model can
 // harvest: the inflection point b scaled by the region size.

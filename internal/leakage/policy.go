@@ -1,11 +1,21 @@
 package leakage
 
 import (
-	"fmt"
+	"strconv"
 
 	"leakbound/internal/interval"
 	"leakbound/internal/power"
 )
+
+// uintName formats a parameterized policy name, "scheme(v)", with one
+// allocation — the result. Name stamps every Evaluation, so it runs once
+// per aggregate evaluation; fmt.Sprintf would also box v.
+func uintName(scheme string, v uint64) string {
+	var buf [48]byte
+	b := append(append(buf[:0], scheme...), '(')
+	b = strconv.AppendUint(b, v, 10)
+	return string(append(b, ')'))
+}
 
 // Policy decides how much energy one cache frame spends over one interval.
 // Implementations are the schemes compared in Figure 8. A policy sees the
@@ -115,7 +125,7 @@ type OPTSleep struct {
 }
 
 // Name implements Policy.
-func (p OPTSleep) Name() string { return fmt.Sprintf("OPT-Sleep(%d)", p.Theta) }
+func (p OPTSleep) Name() string { return uintName("OPT-Sleep", p.Theta) }
 
 // IntervalEnergy implements Policy.
 func (p OPTSleep) IntervalEnergy(t power.Technology, length uint64, flags interval.Flags) float64 {
@@ -142,7 +152,7 @@ type SleepDecay struct {
 }
 
 // Name implements Policy.
-func (p SleepDecay) Name() string { return fmt.Sprintf("Sleep(%d)", p.Theta) }
+func (p SleepDecay) Name() string { return uintName("Sleep", p.Theta) }
 
 // IntervalEnergy implements Policy.
 func (p SleepDecay) IntervalEnergy(t power.Technology, length uint64, flags interval.Flags) float64 {
@@ -195,7 +205,7 @@ type OPTHybrid struct {
 // Name implements Policy.
 func (p OPTHybrid) Name() string {
 	if p.SleepTheta > 0 {
-		return fmt.Sprintf("OPT-Hybrid(%d)", p.SleepTheta)
+		return uintName("OPT-Hybrid", p.SleepTheta)
 	}
 	return "OPT-Hybrid"
 }

@@ -14,7 +14,7 @@ package leakage
 // so Accuracy = 1 makes WayMemo identical to Prefetch-A.
 
 import (
-	"fmt"
+	"strconv"
 
 	"leakbound/internal/interval"
 	"leakbound/internal/power"
@@ -34,7 +34,11 @@ type WayMemo struct {
 }
 
 // Name implements Policy.
-func (p WayMemo) Name() string { return fmt.Sprintf("WayMemo(%.2f)", p.Accuracy) }
+func (p WayMemo) Name() string {
+	var buf [48]byte
+	b := strconv.AppendFloat(append(buf[:0], "WayMemo("...), p.Accuracy, 'f', 2, 64)
+	return string(append(b, ')'))
+}
 
 // IntervalEnergy implements Policy.
 func (p WayMemo) IntervalEnergy(t power.Technology, length uint64, flags interval.Flags) float64 {
