@@ -10,7 +10,6 @@ package leakbound_test
 import (
 	"bytes"
 	"context"
-	"math"
 	"sync"
 	"testing"
 
@@ -188,7 +187,7 @@ func BenchmarkPipelineSimulateGzip(b *testing.B) {
 
 // Grid benches: the Figure 8 evaluation cell set (6 benchmarks x 6
 // schemes x both caches) through EvaluateGrid at different worker counts.
-// Cells carry their own distributions, so the grid suites need no
+// Cells carry the shared suite's aggregates, so the grid suites need no
 // simulation of their own.
 
 func benchGrid(b *testing.B, workers int) {
@@ -203,8 +202,8 @@ func benchGrid(b *testing.B, workers int) {
 	for _, bd := range all {
 		for _, p := range experiments.Figure8Policies() {
 			cells = append(cells,
-				experiments.Cell{Tech: tech, Policy: p, Dist: bd.ICache},
-				experiments.Cell{Tech: tech, Policy: p, Dist: bd.DCache})
+				experiments.Cell{Tech: tech, Policy: p, Agg: bd.IAgg},
+				experiments.Cell{Tech: tech, Policy: p, Agg: bd.DAgg})
 		}
 	}
 	gs := experiments.MustNew(experiments.WithWorkers(workers))
@@ -326,7 +325,7 @@ func BenchmarkExtensionL2Study(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ev, err := leakage.Evaluate(power.Default(), data.L2Cache, leakage.OPTHybrid{})
+		ev, err := leakage.EvaluateAggregate(power.Default(), data.L2Agg, leakage.OPTHybrid{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -380,22 +379,9 @@ func BenchmarkExtensionTemperature(b *testing.B) {
 }
 
 // denseSweepThetas is the 256-point geometric theta ladder the dense-sweep
-// benches share — the serving layer's default span at its default density.
-func denseSweepThetas() []uint64 {
-	const from, to, points = 1057, 103084, 256
-	ratio := math.Pow(float64(to)/float64(from), 1/float64(points-1))
-	out := make([]uint64, 0, points)
-	last := uint64(0)
-	for i := 0; i < points; i++ {
-		v := uint64(math.Round(float64(from) * math.Pow(ratio, float64(i))))
-		if v <= last {
-			continue
-		}
-		out = append(out, v)
-		last = v
-	}
-	return out
-}
+// benches share: the `experiments -only sweep` ladder, at the serving
+// layer's default density.
+func denseSweepThetas() []uint64 { return experiments.GeometricThetas(1057, 103084, 256) }
 
 // BenchmarkSweepDense256Reference answers a 256-point opt-sleep theta sweep
 // over every benchmark's I-cache through the reference per-bucket walk —

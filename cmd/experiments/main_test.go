@@ -3,18 +3,20 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"leakbound/internal/experiments"
 	"leakbound/internal/telemetry"
 )
 
 func TestRunSubsets(t *testing.T) {
 	// Static items are fast; simulated items run at a tiny scale.
 	for _, only := range []string{"fig1", "table1", "table3", "fig10"} {
-		if err := run(context.Background(), 0.02, 0, only, "", "", "text"); err != nil {
+		if err := run(context.Background(), io.Discard, 0.02, 0, only, "", "", "text"); err != nil {
 			t.Errorf("run(%q): %v", only, err)
 		}
 	}
@@ -24,23 +26,52 @@ func TestRunSimulatedSubset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the full suite")
 	}
-	if err := run(context.Background(), 0.02, 2, "fig8,fig9", "", "", "markdown"); err != nil {
+	if err := run(context.Background(), io.Discard, 0.02, 2, "fig8,fig9", "", "", "markdown"); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunRejectsBadInputs(t *testing.T) {
-	if err := run(context.Background(), 0, 0, "table1", "", "", "text"); err == nil {
+	if err := run(context.Background(), io.Discard, 0, 0, "table1", "", "", "text"); err == nil {
 		t.Error("zero scale accepted")
 	}
-	if err := run(context.Background(), 0.02, 0, "table1", "", "", "html"); err == nil {
+	if err := run(context.Background(), io.Discard, 0.02, 0, "table1", "", "", "html"); err == nil {
 		t.Error("unknown format accepted")
+	}
+	var out bytes.Buffer
+	err := run(context.Background(), &out, 0.02, 0, "table1,fig11", "", "", "text")
+	if err == nil {
+		t.Fatal("unknown -only item accepted")
+	}
+	for _, want := range []string{`"fig11"`, "table1", "families", "sweep"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+	if out.Len() != 0 {
+		t.Errorf("rejected run wrote output:\n%s", out.String())
+	}
+}
+
+// TestRunTable3HonorsFormat: table3 renders through the selected format
+// like every other table.
+func TestRunTable3HonorsFormat(t *testing.T) {
+	var got, want bytes.Buffer
+	if err := run(context.Background(), &got, 0.02, 0, "table3", "", "", "csv"); err != nil {
+		t.Fatal(err)
+	}
+	if err := experiments.Table3().RenderCSV(&want); err != nil {
+		t.Fatal(err)
+	}
+	want.WriteString("\n")
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("-only table3 -format csv:\n%s\nwant:\n%s", got.Bytes(), want.Bytes())
 	}
 }
 
 func TestRunWithDiskCache(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(context.Background(), 0.02, 0, "table1", dir, "", "csv"); err != nil {
+	if err := run(context.Background(), io.Discard, 0.02, 0, "table1", dir, "", "csv"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -54,10 +85,10 @@ func TestRunWithSpecsDir(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "cli-spec.json"), []byte(specJSON), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), 0.02, 0, "profile", "", dir, "text"); err != nil {
+	if err := run(context.Background(), io.Discard, 0.02, 0, "profile", "", dir, "text"); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), 0.02, 0, "table1", "", filepath.Join(dir, "missing"), "text"); err == nil {
+	if err := run(context.Background(), io.Discard, 0.02, 0, "table1", "", filepath.Join(dir, "missing"), "text"); err == nil {
 		t.Error("missing specs dir accepted")
 	}
 }
@@ -72,7 +103,7 @@ func TestRunWithMetricsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), 0.02, 0, "profile", t.TempDir(), "", "text"); err != nil {
+	if err := run(context.Background(), io.Discard, 0.02, 0, "profile", t.TempDir(), "", "text"); err != nil {
 		t.Fatal(err)
 	}
 	if err := stop(); err != nil {

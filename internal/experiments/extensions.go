@@ -4,6 +4,11 @@ package experiments
 // library's generality (the "future work" directions Section 6 gestures
 // at): the L2 cache, extra baseline schemes from the related work, the
 // dirty-line write-back cost, and temperature sensitivity.
+//
+// Every policy evaluation here runs on the aggregate kernel over the
+// benchmark's cached summaries (IAgg, DAgg, L2Agg). Adaptive decay, AMC
+// and the hybrid breakdown have no aggregate form and walk the
+// distributions.
 
 import (
 	"context"
@@ -33,73 +38,42 @@ func ExtendedSchemesTableContext(ctx context.Context, s *Suite) (*report.Table, 
 	t := report.NewTable("Extension: related-work schemes vs the oracle bounds (70nm, benchmark average)",
 		"scheme", "I-cache", "D-cache")
 
-	type rowFn func(d *BenchmarkData, iCache bool) (float64, error)
+	type rowFn func(*interval.Distribution, *interval.Aggregates) (leakage.Evaluation, error)
+	kernel := func(p leakage.Policy) rowFn {
+		return func(_ *interval.Distribution, agg *interval.Aggregates) (leakage.Evaluation, error) {
+			return leakage.EvaluateAggregate(tech, agg, p)
+		}
+	}
 	rows := []struct {
 		label string
 		fn    rowFn
 	}{
-		{"Drowsy(2000) periodic", func(d *BenchmarkData, iCache bool) (float64, error) {
-			dist := d.ICache
-			if !iCache {
-				dist = d.DCache
-			}
-			ev, err := leakage.Evaluate(tech, dist, leakage.PeriodicDrowsy{Window: 2000})
-			return ev.Savings, err
+		{"Drowsy(2000) periodic", kernel(leakage.PeriodicDrowsy{Window: 2000})},
+		{"Drowsy(4000) periodic", kernel(leakage.PeriodicDrowsy{Window: 4000})},
+		// Adaptive decay and AMC have no aggregate form: they walk the
+		// distribution itself.
+		{"Adaptive decay (feedback)", func(d *interval.Distribution, _ *interval.Aggregates) (leakage.Evaluation, error) {
+			return leakage.EvaluateAdaptiveDecay(tech, d)
 		}},
-		{"Drowsy(4000) periodic", func(d *BenchmarkData, iCache bool) (float64, error) {
-			dist := d.ICache
-			if !iCache {
-				dist = d.DCache
-			}
-			ev, err := leakage.Evaluate(tech, dist, leakage.PeriodicDrowsy{Window: 4000})
-			return ev.Savings, err
+		{"AMC (tags alive)", func(d *interval.Distribution, _ *interval.Aggregates) (leakage.Evaluation, error) {
+			return leakage.EvaluateAMC(tech, d, 0.06)
 		}},
-		{"Adaptive decay (feedback)", func(d *BenchmarkData, iCache bool) (float64, error) {
-			dist := d.ICache
-			if !iCache {
-				dist = d.DCache
-			}
-			ev, err := leakage.EvaluateAdaptiveDecay(tech, dist)
-			return ev.Savings, err
-		}},
-		{"AMC (tags alive)", func(d *BenchmarkData, iCache bool) (float64, error) {
-			dist := d.ICache
-			if !iCache {
-				dist = d.DCache
-			}
-			ev, err := leakage.EvaluateAMC(tech, dist, 0.06)
-			return ev.Savings, err
-		}},
-		{"OPT-Drowsy (bound)", func(d *BenchmarkData, iCache bool) (float64, error) {
-			dist := d.ICache
-			if !iCache {
-				dist = d.DCache
-			}
-			ev, err := leakage.Evaluate(tech, dist, leakage.OPTDrowsy{})
-			return ev.Savings, err
-		}},
-		{"OPT-Hybrid (bound)", func(d *BenchmarkData, iCache bool) (float64, error) {
-			dist := d.ICache
-			if !iCache {
-				dist = d.DCache
-			}
-			ev, err := leakage.Evaluate(tech, dist, leakage.OPTHybrid{})
-			return ev.Savings, err
-		}},
+		{"OPT-Drowsy (bound)", kernel(leakage.OPTDrowsy{})},
+		{"OPT-Hybrid (bound)", kernel(leakage.OPTHybrid{})},
 	}
 	for _, r := range rows {
 		var iSum, dSum float64
 		for _, bd := range all {
-			iv, err := r.fn(bd, true)
+			iv, err := r.fn(bd.Side(true))
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s on %s: %w", r.label, bd.Name, err)
 			}
-			dv, err := r.fn(bd, false)
+			dv, err := r.fn(bd.Side(false))
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s on %s: %w", r.label, bd.Name, err)
 			}
-			iSum += iv
-			dSum += dv
+			iSum += iv.Savings
+			dSum += dv.Savings
 		}
 		n := float64(len(all))
 		t.MustAddRow(r.label, report.Pct(iSum/n), report.Pct(dSum/n))
@@ -139,11 +113,11 @@ func L2StudyContext(ctx context.Context, s *Suite) (*report.Table, error) {
 		total := bd.L2Cache.Mass()
 		frac := 1 - float64(untouchedMass)/float64(total)
 		cells = append(cells, report.Pct(frac))
-		for i, p := range policies {
-			ev, err := leakage.Evaluate(tech, bd.L2Cache, p)
-			if err != nil {
-				return nil, err
-			}
+		evs, err := leakage.EvaluateMany(tech, bd.L2Agg, policies)
+		if err != nil {
+			return nil, err
+		}
+		for i, ev := range evs {
 			cells = append(cells, report.Pct(ev.Savings))
 			sums[i] += ev.Savings
 		}
@@ -177,7 +151,7 @@ func WritebackAblationContext(ctx context.Context, s *Suite) (*report.Table, err
 		tech.WBEnergy = ratio * tech.CD
 		var sum float64
 		for _, bd := range all {
-			ev, err := leakage.Evaluate(tech, bd.DCache, leakage.OPTHybrid{})
+			ev, err := leakage.EvaluateAggregate(tech, bd.DAgg, leakage.OPTHybrid{})
 			if err != nil {
 				return nil, err
 			}
@@ -292,19 +266,17 @@ func LiveDeadStudyContext(ctx context.Context, s *Suite) (*report.Table, error) 
 	tech := power.Default()
 	t := report.NewTable("Extension: live vs dead intervals (D-cache, 70nm) — Section 3.1's claim",
 		"benchmark", "dead mass share", "OPT-Hybrid (length only)", "dead-aware hybrid", "delta")
+	policies := []leakage.Policy{leakage.OPTHybrid{}, leakage.DeadAwareHybrid{}}
 	for _, bd := range all {
 		deadMass := bd.DCache.MassWhere(func(l uint64, f interval.Flags) bool {
 			return f&interval.DeadEnd != 0
 		})
 		share := float64(deadMass) / float64(bd.DCache.Mass())
-		lengthOnly, err := leakage.Evaluate(tech, bd.DCache, leakage.OPTHybrid{})
+		evs, err := leakage.EvaluateMany(tech, bd.DAgg, policies)
 		if err != nil {
 			return nil, err
 		}
-		deadAware, err := leakage.Evaluate(tech, bd.DCache, leakage.DeadAwareHybrid{})
-		if err != nil {
-			return nil, err
-		}
+		lengthOnly, deadAware := evs[0], evs[1]
 		t.MustAddRow(bd.Name,
 			report.Pct(share),
 			report.Pct(lengthOnly.Savings),

@@ -13,6 +13,14 @@ import (
 	"leakbound/internal/stats"
 )
 
+// sideTitle is the figure-caption label of one L1 side.
+func sideTitle(iCache bool) string {
+	if iCache {
+		return "(a) Instruction Cache"
+	}
+	return "(b) Data Cache"
+}
+
 // Figure7Thetas is the sweep of minimum sleep interval lengths the paper
 // plots: from the 70nm drowsy-sleep inflection point up to 10000 cycles.
 func Figure7Thetas() []uint64 {
@@ -42,11 +50,11 @@ func Figure7Context(ctx context.Context, s *Suite, iCache bool) (sleep, hybrid *
 	cells := make([]Cell, 0, 2*len(thetas)*len(all))
 	for _, theta := range thetas {
 		for _, bd := range all {
-			dist, agg := bd.Side(iCache)
+			_, agg := bd.Side(iCache)
 			cells = append(cells,
-				Cell{Tech: tech, Policy: leakage.OPTSleep{Theta: theta}, Dist: dist, Agg: agg,
+				Cell{Tech: tech, Policy: leakage.OPTSleep{Theta: theta}, Agg: agg,
 					Label: fmt.Sprintf("fig7/%s/sleep@%d", bd.Name, theta)},
-				Cell{Tech: tech, Policy: leakage.OPTHybrid{SleepTheta: theta}, Dist: dist, Agg: agg,
+				Cell{Tech: tech, Policy: leakage.OPTHybrid{SleepTheta: theta}, Agg: agg,
 					Label: fmt.Sprintf("fig7/%s/hybrid@%d", bd.Name, theta)})
 		}
 	}
@@ -110,9 +118,9 @@ func Figure8Context(ctx context.Context, s *Suite, iCache bool) ([]Figure8Row, e
 	policies := Figure8Policies()
 	cells := make([]Cell, 0, len(all)*len(policies))
 	for _, bd := range all {
-		dist, agg := bd.Side(iCache)
+		_, agg := bd.Side(iCache)
 		for _, p := range policies {
-			cells = append(cells, Cell{Tech: tech, Policy: p, Dist: dist, Agg: agg,
+			cells = append(cells, Cell{Tech: tech, Policy: p, Agg: agg,
 				Label: fmt.Sprintf("fig8/%s/%s", bd.Name, p.Name())})
 		}
 	}
@@ -148,15 +156,11 @@ func Figure8TableContext(ctx context.Context, s *Suite, iCache bool) (*report.Ta
 	if err != nil {
 		return nil, err
 	}
-	side := "(a) Instruction Cache"
-	if !iCache {
-		side = "(b) Data Cache"
-	}
 	headers := []string{"benchmark"}
 	for _, p := range Figure8Policies() {
 		headers = append(headers, p.Name())
 	}
-	t := report.NewTable("Figure 8"+side+": leakage power savings per scheme", headers...)
+	t := report.NewTable("Figure 8"+sideTitle(iCache)+": leakage power savings per scheme", headers...)
 	for _, r := range rows {
 		cells := []string{r.Benchmark}
 		for _, v := range r.Savings {
@@ -205,11 +209,7 @@ func Figure9TableContext(ctx context.Context, s *Suite, iCache bool) (*report.Ta
 	if err != nil {
 		return nil, err
 	}
-	side := "(a) Instruction Cache"
-	if !iCache {
-		side = "(b) Data Cache"
-	}
-	t := report.NewTable("Figure 9"+side+": prefetchability of intervals",
+	t := report.NewTable("Figure 9"+sideTitle(iCache)+": prefetchability of intervals",
 		"regime", "share of intervals", "P-NL", "P-stride")
 	total := float64(p.Total())
 	if total == 0 {
@@ -324,6 +324,30 @@ func MassProfile(d *interval.Distribution) map[string]float64 {
 		"(10K,103K]":  share(10000, 103084),
 		"(103K,+inf)": share(103084, math.Inf(1)),
 	}
+}
+
+// massProfileTable renders MassProfile for both L1 sides of every
+// benchmark in the suite.
+func massProfileTable(ctx context.Context, s *Suite) (*report.Table, error) {
+	all, err := s.AllContext(ctx)
+	if err != nil {
+		return nil, err
+	}
+	regimes := []string{"(0,6]", "(6,1057]", "(1057,10K]", "(10K,103K]", "(103K,+inf)"}
+	t := report.NewTable("Interval mass profile per benchmark (fraction of frame-cycles)",
+		append([]string{"benchmark", "cache"}, regimes...)...)
+	for _, bd := range all {
+		for _, side := range []string{"I", "D"} {
+			dist, _ := bd.Side(side == "I")
+			p := MassProfile(dist)
+			row := []string{bd.Name, side}
+			for _, r := range regimes {
+				row = append(row, report.Pct(p[r]))
+			}
+			t.MustAddRow(row...)
+		}
+	}
+	return t, nil
 }
 
 // IntervalStats summarizes a distribution's interior interval lengths: a

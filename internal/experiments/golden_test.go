@@ -5,18 +5,20 @@ import (
 	"context"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"leakbound/internal/leakage"
 	"leakbound/internal/power"
+	"leakbound/internal/report"
 )
 
-// TestGoldenResultsUnchanged is the registry's regression anchor: with every
-// policy now built through the registered factories, the scale-1 suite must
-// render Figure 8 (both cache sides) and Table 2 byte-identically to the
-// committed RESULTS.txt. It also evaluates every registered scheme at its
-// defaults on the same suite first, so a registration whose factory perturbs
-// shared state would be caught here rather than in a report diff.
+// TestGoldenResultsUnchanged is the regression anchor for every table the
+// repo reports: the scale-1 suite, written by WriteResults exactly as
+// `experiments -scale 1` prints it, must equal the committed RESULTS.txt
+// byte for byte. It also evaluates every registered scheme at its defaults
+// on the same suite first, so a registration whose factory perturbs shared
+// state would be caught here rather than in a report diff.
 func TestGoldenResultsUnchanged(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale-1 golden check skipped in -short")
@@ -55,30 +57,25 @@ func TestGoldenResultsUnchanged(t *testing.T) {
 		t.Fatalf(`ParsePolicy("opt-sleep@8192") = %#v, want leakage.OPTSleep{Theta: 8192}`, pol)
 	}
 
-	check := func(section string, buf []byte) {
-		t.Helper()
-		if !bytes.Contains(golden, buf) {
-			t.Errorf("%s output no longer matches RESULTS.txt; got:\n%s", section, buf)
-		}
-	}
-	for _, iCache := range []bool{true, false} {
-		tbl, err := Figure8Table(s, iCache)
-		if err != nil {
-			t.Fatalf("Figure8Table(iCache=%v): %v", iCache, err)
-		}
-		var buf bytes.Buffer
-		if err := tbl.Render(&buf); err != nil {
-			t.Fatalf("render figure 8: %v", err)
-		}
-		check("Figure 8", buf.Bytes())
-	}
-	tbl, err := Table2(s)
-	if err != nil {
-		t.Fatalf("Table2: %v", err)
-	}
 	var buf bytes.Buffer
-	if err := tbl.Render(&buf); err != nil {
-		t.Fatalf("render table 2: %v", err)
+	if err := WriteResults(context.Background(), &buf, s, nil, (*report.Table).Render); err != nil {
+		t.Fatalf("WriteResults: %v", err)
 	}
-	check("Table 2", buf.Bytes())
+	if got := buf.Bytes(); !bytes.Equal(got, golden) {
+		gotLines := strings.Split(string(got), "\n")
+		wantLines := strings.Split(string(golden), "\n")
+		for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+			var g, w string
+			if i < len(gotLines) {
+				g = gotLines[i]
+			}
+			if i < len(wantLines) {
+				w = wantLines[i]
+			}
+			if g != w {
+				t.Fatalf("output differs from RESULTS.txt at line %d (%d vs %d lines):\n got: %q\nwant: %q",
+					i+1, len(gotLines), len(wantLines), g, w)
+			}
+		}
+	}
 }

@@ -171,11 +171,7 @@ func (s *Suite) ParetoTableContext(ctx context.Context, iCache bool, tech power.
 	if err != nil {
 		return nil, err
 	}
-	side := "(a) Instruction Cache"
-	if !iCache {
-		side = "(b) Data Cache"
-	}
-	t := report.NewTable("Pareto "+side+": normalized leakage vs induced misses per scheme",
+	t := report.NewTable("Pareto "+sideTitle(iCache)+": normalized leakage vs induced misses per scheme",
 		"spec", "policy", "normalized leakage", "misses/1K intervals", "frontier")
 	for _, p := range points {
 		mark := ""
@@ -212,7 +208,7 @@ func (s *Suite) TechniqueFamiliesTableContext(ctx context.Context, iCache bool, 
 	perBench := make([][]leakage.Policy, len(all))
 	cells := make([]Cell, 0, len(all)*(len(fixed)+1))
 	for bi, bd := range all {
-		dist, agg := bd.Side(iCache)
+		_, agg := bd.Side(iCache)
 		acc := bd.IEngine.Accuracy()
 		if !iCache {
 			acc = bd.DEngine.Accuracy()
@@ -220,7 +216,7 @@ func (s *Suite) TechniqueFamiliesTableContext(ctx context.Context, iCache bool, 
 		pols := append(append([]leakage.Policy{}, fixed...), leakage.WayMemo{Accuracy: acc})
 		perBench[bi] = pols
 		for _, p := range pols {
-			cells = append(cells, Cell{Tech: tech, Policy: p, Dist: dist, Agg: agg,
+			cells = append(cells, Cell{Tech: tech, Policy: p, Agg: agg,
 				Label: fmt.Sprintf("families/%s/%s", bd.Name, p.Name())})
 		}
 	}
@@ -228,16 +224,12 @@ func (s *Suite) TechniqueFamiliesTableContext(ctx context.Context, iCache bool, 
 	if err != nil {
 		return nil, err
 	}
-	side := "(a) Instruction Cache"
-	if !iCache {
-		side = "(b) Data Cache"
-	}
 	headers := []string{"benchmark"}
 	for _, p := range fixed {
 		headers = append(headers, p.Name())
 	}
 	headers = append(headers, "WayMemo(engine)")
-	t := report.NewTable("Technique families "+side+": savings vs the OPT-Hybrid bound", headers...)
+	t := report.NewTable("Technique families "+sideTitle(iCache)+": savings vs the OPT-Hybrid bound", headers...)
 	nPols := len(fixed) + 1
 	avg := make([]float64, nPols)
 	k := 0

@@ -11,6 +11,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -148,12 +149,12 @@ func (s *Suite) EvaluateCellContext(ctx context.Context, benchmark string, iCach
 	if err != nil {
 		return CellEvaluation{}, err
 	}
-	dist, agg := bd.Side(iCache)
+	_, agg := bd.Side(iCache)
 	side := "i"
 	if !iCache {
 		side = "d"
 	}
-	evs, err := s.EvaluateGrid(ctx, []Cell{{Tech: tech, Policy: pol, Dist: dist, Agg: agg,
+	evs, err := s.EvaluateGrid(ctx, []Cell{{Tech: tech, Policy: pol, Agg: agg,
 		Label: fmt.Sprintf("query/%s/%s/%s/%s", benchmark, side, tech.Name, pol.Name())}})
 	if err != nil {
 		return CellEvaluation{}, err
@@ -279,6 +280,28 @@ func resolveSweepPolicies(scheme, param string, tech power.Technology, values []
 		pols[vi] = pol
 	}
 	return pols, name, nil
+}
+
+// GeometricThetas builds a geometrically spaced theta ladder from from to
+// to with up to points samples, deduplicated after rounding: the dense
+// sweep's ladder and the serving layer's sweep default. A single point or
+// an empty range yields just from.
+func GeometricThetas(from, to uint64, points int) []uint64 {
+	if points <= 1 || from >= to {
+		return []uint64{from}
+	}
+	ratio := math.Pow(float64(to)/float64(from), 1/float64(points-1))
+	out := make([]uint64, 0, points)
+	last := uint64(0)
+	for i := 0; i < points; i++ {
+		v := uint64(math.Round(float64(from) * math.Pow(ratio, float64(i))))
+		if v <= last {
+			continue
+		}
+		out = append(out, v)
+		last = v
+	}
+	return out
 }
 
 // SweepThetaContext is the theta-specific compat shim over

@@ -143,12 +143,12 @@ func (s *Suite) EvaluateScenarioCellContext(ctx context.Context, sc Scenario, iC
 	if err != nil {
 		return CellEvaluation{}, err
 	}
-	dist, agg := bd.Side(iCache)
+	_, agg := bd.Side(iCache)
 	side := "i"
 	if !iCache {
 		side = "d"
 	}
-	evs, err := s.EvaluateGrid(ctx, []Cell{{Tech: tech, Policy: pol, Dist: dist, Agg: agg,
+	evs, err := s.EvaluateGrid(ctx, []Cell{{Tech: tech, Policy: pol, Agg: agg,
 		Label: fmt.Sprintf("query/adhoc/%s/%s/%s", side, tech.Name, pol.Name())}})
 	if err != nil {
 		return CellEvaluation{}, err

@@ -342,14 +342,8 @@ func finishData(name string, res cpu.Result, iCol, dCol, l2Col *interval.Collect
 	}, nil
 }
 
-// MergedDistributions returns suite-wide merged I- and D-cache
-// distributions (used by Figure 9's aggregate prefetchability). It is
-// MergedDistributionsContext with a background context.
-func (s *Suite) MergedDistributions() (iDist, dDist *interval.Distribution, err error) {
-	return s.MergedDistributionsContext(context.Background())
-}
-
-// MergedDistributionsContext is the cancellable MergedDistributions.
+// MergedDistributionsContext returns suite-wide merged I- and D-cache
+// distributions (used by Figure 9's aggregate prefetchability).
 func (s *Suite) MergedDistributionsContext(ctx context.Context) (iDist, dDist *interval.Distribution, err error) {
 	all, err := s.AllContext(ctx)
 	if err != nil {

@@ -283,7 +283,7 @@ func (d *Distribution) Each(fn func(length uint64, flags Flags, count uint64) bo
 
 // Merge folds other into d. Frame counts add — the operands are treated as
 // disjoint frame populations, which is how suite-wide views aggregate
-// benchmarks (Suite.MergedDistributions). Bucket counts, interval counts
+// benchmarks (Suite.MergedDistributionsContext). Bucket counts, interval counts
 // and mass are all additive, and time horizons are maxed, so merging
 // same-horizon operands preserves the conservation invariant
 // (Mass == NumFrames x TotalCycles).
